@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import BoundDomainError
 from .hashimoto import EXACT_TRACE_CAP, trace_powers
+from .spectral import induced_norms
 
 
 @dataclass
@@ -112,7 +113,7 @@ def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
     """
     g = h.graph
     if norm_row is None:
-        norm_row = max((len(s) for s in h.succ), default=0)
+        norm_row = induced_norms(h)[0]
     if not 0.0 <= p <= 1.0:
         raise BoundDomainError(f"probability {p} outside [0,1]")
     if p * norm_row >= 1.0:
@@ -120,8 +121,8 @@ def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     w = np.zeros(h.n_arcs)
-    w[g.out_adj[v]] = 1.0
-    outdeg = len(g.out_adj[v])
+    w[g.out_order[g.out_ptr[v]:g.out_ptr[v + 1]]] = 1.0
+    outdeg = g.out_degree(v)
     value = 1.0
     for m in range(1, cutoff + 1):
         total = float(w.sum())

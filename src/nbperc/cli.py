@@ -42,13 +42,14 @@ from .generators import (
     gen_star_sym,
 )
 from .graph import (
+    _arc_lines,
     is_robustly_strongly_connected,
     parse_edge_list,
     serialize_edge_list,
     strongly_connected_components,
     symmetric_arc_pairs,
 )
-from .hashimoto import EXACT_TRACE_CAP, build_hashimoto
+from .hashimoto import EXACT_TRACE_CAP, build_hashimoto, trace_powers
 from .percolation import (
     PercolationConfig,
     estimate_out_prob,
@@ -66,7 +67,7 @@ ROBUST_CHECK_BUDGET = 10_000_000
 
 
 def _input_digest(g):
-    payload = f"{g.n}\n" + "\n".join(f"{t} {h}" for t, h in g.arcs)
+    payload = f"{g.n}\n" + _arc_lines(g)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -219,13 +220,11 @@ def cmd_simulate(args):
         trials=args.trials,
         master_seed=args.seed,
         giant_fraction=args.giant_fraction,
-        roots=roots,
-        m_max=args.m_max,
         coupled=not args.independent,
     )
     sr = sweep(g, config)
     estimates = [
-        estimate_out_prob(g, v, p, config.m_max, config.trials, config.master_seed)
+        estimate_out_prob(g, v, p, args.m_max, args.trials, args.seed)
         for v in roots
         for p in p_grid
     ]
@@ -300,9 +299,11 @@ def cmd_bounds_check(args):
     roots = tuple(int(r) for r in args.roots.split(",") if r.strip()) if args.roots else tuple(
         range(min(3, g.n))
     )
-    census = None
+    census = traces = None
+    cutoff = max(g.n, 32)
     if g.n <= VERTEX_CAP and 0 < g.n_arcs <= EXACT_TRACE_CAP:
         census = enumerate_elementary_circuits(g)
+        traces = trace_powers(h, cutoff)
     out = io.StringIO()
     out.write(
         "p,theorem1_bound,max_m_phat,theorem1_verdict,"
@@ -331,7 +332,7 @@ def cmd_bounds_check(args):
         if census is not None:
             try:
                 e_n = expected_sac_count(census, p)
-                tr_val, _ = sac_bound_trace(p, h, max(g.n, 32), sr.rho_H)
+                tr_val, _ = sac_bound_trace(p, h, cutoff, sr.rho_H, traces=traces)
                 cl = sac_bound_closed(p, sr.rho_H, g.n_arcs)
                 sac_ok = e_n <= tr_val + 1e-12 and tr_val <= cl + 1e-9
                 sac_cells = [

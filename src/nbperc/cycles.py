@@ -41,7 +41,7 @@ def enumerate_elementary_circuits(g, max_len=None, vertex_cap=VERTEX_CAP):
         )
     if max_len is None:
         max_len = g.n
-    neighbors = [sorted(set(g.out_neighbors(v))) for v in range(g.n)]
+    neighbors = [sorted(heads) for heads in g.out_heads]
     circuits = []
     path = []
     on_path = [False] * g.n

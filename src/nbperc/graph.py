@@ -3,11 +3,16 @@
 The graph is immutable after construction: vertex ids are dense 0-based
 integers, arcs are stored in insertion order and the arc id is the position
 in that order.  Self-loops and duplicate arcs are rejected outright; every
-downstream formula assumes a simple digraph.
+downstream formula assumes a simple digraph.  The arcs are held as two
+int64 arrays plus an out-CSR, and validation, parsing and the derived
+structures work on those arrays in bulk.
 """
 from __future__ import annotations
 
+import re
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -17,53 +22,104 @@ from .errors import GraphStructureError, ParseError
 
 
 class DiGraph:
-    """Immutable simple digraph.
+    """Immutable simple digraph stored as arc arrays.
 
     Attributes:
         n: number of vertices.
-        arcs: tuple of (tail, head) pairs; position is the arc id.
-        out_adj / in_adj: per-vertex lists of arc ids, in arc-id order.
-        arc_index: dict (tail, head) -> arc id.
-        tails / heads: numpy views of the arc endpoints.
+        tails / heads: read-only int64 arc endpoints; position is the arc id.
+        out_ptr / out_order: out-CSR; the arcs leaving v are
+            out_order[out_ptr[v]:out_ptr[v + 1]], in arc-id order
+            (out_order is a stable argsort of tails).
+
+    ``arcs``, ``arc_index``, ``out_adj``, ``in_adj`` and ``out_heads`` are
+    Python-object views derived from the arrays on first use.
     """
 
-    __slots__ = ("n", "arcs", "out_adj", "in_adj", "arc_index", "tails", "heads")
-
     def __init__(self, n, arcs):
+        """``arcs`` is an iterable of (tail, head) pairs."""
+        arcs = arcs if isinstance(arcs, np.ndarray) else list(arcs)
+        try:
+            a = np.array(arcs, dtype=np.int64)
+        except OverflowError:
+            # Ids beyond int64 are out of range for any n: clamp them to
+            # -1 or n so the checks still find the earliest offending arc,
+            # whose message quotes the input.
+            a = np.array([[min(max(int(x), -1), n) for x in arc] for arc in arcs],
+                         dtype=np.int64)
+        if a.size == 0:
+            a = a.reshape(0, 2)
+        if a.ndim != 2 or a.shape[1] != 2:
+            raise ValueError("arcs must be (tail, head) pairs")
+        self._build(n, a[:, 0], a[:, 1], arcs)
+
+    @classmethod
+    def from_arrays(cls, n, tails, heads):
+        """Graph with arc i = tails[i] -> heads[i]; validated like DiGraph()."""
+        g = cls.__new__(cls)
+        g._build(n, tails, heads, None)
+        return g
+
+    def _build(self, n, tails, heads, shown):
         if n < 0:
             raise GraphStructureError(f"negative vertex count {n}")
-        arcs = tuple((int(t), int(h)) for t, h in arcs)
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
-        arc_index = {}
-        for aid, (t, h) in enumerate(arcs):
-            if not (0 <= t < n and 0 <= h < n):
-                raise GraphStructureError(f"arc ({t},{h}) references vertex outside 0..{n - 1}")
-            if t == h:
-                raise GraphStructureError(f"self-loop ({t},{h}) not allowed")
-            if (t, h) in arc_index:
-                raise GraphStructureError(f"duplicate arc ({t},{h})")
-            arc_index[(t, h)] = aid
-            out_adj[t].append(aid)
-            in_adj[h].append(aid)
+        tails = np.array(tails, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)
+        found = _first_invalid_arc(n, tails, heads)
+        if found is not None:
+            aid, reason = found
+            t, h = (int(x) for x in (shown[aid] if shown is not None
+                                     else (tails[aid], heads[aid])))
+            raise GraphStructureError({
+                "range": f"arc ({t},{h}) references vertex outside 0..{n - 1}",
+                "loop": f"self-loop ({t},{h}) not allowed",
+                "duplicate": f"duplicate arc ({t},{h})",
+            }[reason])
+        out_ptr = _offsets(tails, n)
+        out_order = np.argsort(tails, kind="stable")
+        for arr in (tails, heads, out_ptr, out_order):
+            arr.flags.writeable = False
         self.n = n
-        self.arcs = arcs
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.arc_index = arc_index
-        self.tails = np.fromiter((t for t, _ in arcs), dtype=np.int64, count=len(arcs))
-        self.heads = np.fromiter((h for _, h in arcs), dtype=np.int64, count=len(arcs))
+        self.tails = tails
+        self.heads = heads
+        self.out_ptr = out_ptr
+        self.out_order = out_order
 
     @property
     def n_arcs(self):
-        return len(self.arcs)
+        return len(self.tails)
+
+    @cached_property
+    def arcs(self):
+        """Tuple of (tail, head) pairs; position is the arc id."""
+        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
+
+    @cached_property
+    def arc_index(self):
+        """dict (tail, head) -> arc id."""
+        return dict(zip(self.arcs, range(self.n_arcs)))
+
+    @cached_property
+    def out_adj(self):
+        """Per-vertex lists of the ids of the arcs leaving v, in arc-id order."""
+        return _split(self.out_order.tolist(), self.out_ptr)
+
+    @cached_property
+    def in_adj(self):
+        """Per-vertex lists of the ids of the arcs entering v, in arc-id order."""
+        in_order = np.argsort(self.heads, kind="stable")
+        return _split(in_order.tolist(), _offsets(self.heads, self.n))
+
+    @cached_property
+    def out_heads(self):
+        """Per-vertex lists of out-neighbours, in arc-id order."""
+        return _split(self.heads[self.out_order].tolist(), self.out_ptr)
 
     def out_neighbors(self, v):
         """Heads of the arcs leaving v, in arc-id order."""
-        return [self.arcs[a][1] for a in self.out_adj[v]]
+        return list(self.out_heads[v])
 
     def out_degree(self, v):
-        return len(self.out_adj[v])
+        return int(self.out_ptr[v + 1] - self.out_ptr[v])
 
     def in_degree(self, v):
         return len(self.in_adj[v])
@@ -72,13 +128,49 @@ class DiGraph:
         return (t, h) in self.arc_index
 
     def __eq__(self, other):
-        return isinstance(other, DiGraph) and self.n == other.n and self.arcs == other.arcs
+        return (isinstance(other, DiGraph) and self.n == other.n
+                and np.array_equal(self.tails, other.tails)
+                and np.array_equal(self.heads, other.heads))
 
     def __hash__(self):
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.tails.tobytes(), self.heads.tobytes()))
 
     def __repr__(self):
         return f"DiGraph(n={self.n}, n_arcs={self.n_arcs})"
+
+
+def _first_invalid_arc(n, tails, heads):
+    """(arc id, reason) of the earliest arc that leaves 0..n-1, is a
+    self-loop or repeats an earlier arc; None when every arc is valid.
+    At one arc the reasons are checked in that order."""
+    outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+    loop = tails == heads
+    # Out-of-range arcs get distinct negative keys, so they repeat nothing.
+    key = np.where(outside, -1 - np.arange(len(tails)), tails * n + heads)
+    repeat = np.zeros(len(tails), dtype=bool)
+    sorted_key = np.sort(key)
+    if (sorted_key[1:] == sorted_key[:-1]).any():
+        order = np.argsort(key, kind="stable")  # the first of equal keys is not a repeat
+        repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = np.flatnonzero(outside | loop | repeat)
+    if len(bad) == 0:
+        return None
+    aid = int(bad[0])
+    return aid, "range" if outside[aid] else "loop" if loop[aid] else "duplicate"
+
+
+def _offsets(keys, size):
+    """CSR pointer of keys in 0..size-1: with the entries sorted by key,
+    those with key v sit at ptr[v]:ptr[v + 1]."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr
+
+
+def _split(flat, ptr):
+    """flat[ptr[v]:ptr[v + 1]] for every v, as Python lists."""
+    bounds = ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -100,31 +192,88 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
+# Largest vertex id whose vertex count id + 1 still fits in int64.
+_MAX_ID = np.iinfo(np.int64).max - 1
+_ONE_TOKEN_LINE = re.compile(r"^\S+$", re.MULTILINE)
+
+
 def parse_edge_list(text, undirected=False):
     """Parse whitespace-separated edge-list text into a DiGraph.
 
     Lines starting with '#' are comments, except an optional header
     "#n <N>" that fixes the vertex count.  With ``undirected`` set, each
     input line (u, v) yields both arcs u->v and v->u.
+
+    All lines are checked and converted at once; once that finds the
+    input invalid, a line-by-line re-scan raises the ParseError of the
+    first bad line.
     """
+    try:
+        return _parse_bulk(text, undirected)
+    except (ValueError, OverflowError):  # ParseError and GraphStructureError too
+        _raise_first_error(text, undirected)
+        raise
+
+
+def _parse_bulk(text, undirected):
+    """parse_edge_list without line numbers: any invalid input raises
+    ValueError or OverflowError."""
+    lines = [raw.strip() for raw in text.splitlines()]
     declared_n = None
-    arcs = []
-    seen = {}
+    for i in [i for i, line in enumerate(lines) if line.startswith("#")]:
+        count = _header(lines[i], i + 1)
+        if count is not None:
+            declared_n = count
+    body = "\n".join([line for line in lines if line and not line.startswith("#")])
+    tokens = body.split()
+    # Every body line has at least two tokens and there are two per line.
+    if len(tokens) != 2 * (body.count("\n") + 1 if body else 0) or _ONE_TOKEN_LINE.search(body):
+        raise ValueError("a line without exactly two vertex ids")
+    ids = np.array(tokens, dtype=np.int64)  # int() of each token
+    if ids.min(initial=0) < 0 or ids.max(initial=0) > _MAX_ID:
+        raise ValueError(f"vertex id outside 0..{_MAX_ID}")
+    max_id = int(ids.max(initial=-1))
+    if declared_n is not None and max_id >= declared_n:
+        raise ValueError(f"vertex id {max_id} exceeds declared count {declared_n}")
+    tails, heads = ids[0::2], ids[1::2]
+    if undirected:
+        tails, heads = np.stack([tails, heads], 1).ravel(), np.stack([heads, tails], 1).ravel()
+    return DiGraph.from_arrays(max_id + 1 if declared_n is None else declared_n, tails, heads)
+
+
+def _header(line, lineno):
+    """Vertex count of a '#n <N>' header, None for any other comment line."""
+    parts = line[1:].split()
+    if not parts or parts[0] != "n":
+        return None
+    if len(parts) != 2:
+        raise ParseError("malformed '#n' header", lineno)
+    try:
+        declared_n = int(parts[1])
+    except ValueError:
+        raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
+    if declared_n < 0:
+        raise ParseError(f"negative vertex count {declared_n}", lineno)
+    if declared_n > _MAX_ID + 1:
+        raise ParseError(f"vertex count {declared_n} too large", lineno)
+    return declared_n
+
+
+def _raise_first_error(text, undirected):
+    """Raise the ParseError of the first invalid line of text, or the
+    declared-count error if every line is valid.  Only called once the
+    bulk parse has found the input invalid, to name the line."""
+    declared_n = None
+    seen = set()
+    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            parts = line[1:].split()
-            if parts and parts[0] == "n":
-                if len(parts) != 2:
-                    raise ParseError("malformed '#n' header", lineno)
-                try:
-                    declared_n = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
-                if declared_n < 0:
-                    raise ParseError(f"negative vertex count {declared_n}", lineno)
+            count = _header(line, lineno)
+            if count is not None:
+                declared_n = count
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -135,26 +284,28 @@ def parse_edge_list(text, undirected=False):
             raise ParseError(f"non-integer vertex id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative vertex id in {line!r}", lineno)
+        if max(u, v) > _MAX_ID:
+            raise ParseError(f"vertex id too large in {line!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop ({u},{v})", lineno)
-        pairs = [(u, v), (v, u)] if undirected else [(u, v)]
-        for pair in pairs:
+        for pair in [(u, v), (v, u)] if undirected else [(u, v)]:
             if pair in seen:
                 raise ParseError(f"duplicate arc {pair}", lineno)
-            seen[pair] = lineno
-            arcs.append(pair)
-    max_id = max((max(u, v) for u, v in arcs), default=-1)
-    n = max_id + 1 if declared_n is None else declared_n
+            seen.add(pair)
+        max_id = max(max_id, u, v)
     if declared_n is not None and max_id >= declared_n:
         raise ParseError(f"vertex id {max_id} exceeds declared count {declared_n}")
-    return DiGraph(n, arcs)
+
+
+def _arc_lines(g):
+    """"t h" per arc in arc order, newline-separated, no final newline."""
+    pairs = np.stack([g.tails, g.heads], 1).ravel().tolist()
+    return ("%d %d\n" * g.n_arcs % tuple(pairs))[:-1]
 
 
 def serialize_edge_list(g):
     """Inverse of parse_edge_list (directed form); preserves arc order."""
-    lines = [f"#n {g.n}"]
-    lines.extend(f"{t} {h}" for t, h in g.arcs)
-    return "\n".join(lines) + "\n"
+    return f"#n {g.n}\n" + (_arc_lines(g) + "\n" if g.n_arcs else "")
 
 
 def _scc_labels(n, tails, heads):
@@ -186,18 +337,17 @@ def _topo_order(ncomp, comp_t, comp_h):
     for a, b in sorted(pairs):
         succ[a].append(b)
         indeg[b] += 1
-    ready = sorted(c for c in range(ncomp) if indeg[c] == 0)
+    ready = deque(c for c in range(ncomp) if indeg[c] == 0)
     order = []
     while ready:
-        c = ready.pop(0)
+        c = ready.popleft()
         order.append(c)
         inserted = []
         for b in succ[c]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 inserted.append(b)
-        for b in sorted(inserted):
-            ready.append(b)
+        ready.extend(sorted(inserted))
     return order
 
 
@@ -213,18 +363,15 @@ def induced_subgraph(g, open_vertices):
 
     Returns (subgraph, kept) where kept[new_id] = old_id.
     """
-    open_set = set(int(v) for v in open_vertices)
-    for v in open_set:
-        if not (0 <= v < g.n):
-            raise GraphStructureError(f"vertex {v} outside 0..{g.n - 1}")
-    kept = sorted(open_set)
-    remap = {old: new for new, old in enumerate(kept)}
-    arcs = [
-        (remap[t], remap[h])
-        for t, h in g.arcs
-        if t in open_set and h in open_set
-    ]
-    return DiGraph(len(kept), arcs), kept
+    kept = np.unique(np.fromiter(open_vertices, dtype=np.int64))
+    outside = kept[(kept < 0) | (kept >= g.n)]
+    if len(outside):
+        raise GraphStructureError(f"vertex {outside[0]} outside 0..{g.n - 1}")
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[kept] = np.arange(len(kept))
+    t, h = remap[g.tails], remap[g.heads]
+    inside = (t >= 0) & (h >= 0)
+    return DiGraph.from_arrays(len(kept), t[inside], h[inside]), kept.tolist()
 
 
 def symmetric_arc_pairs(g):
@@ -233,12 +380,17 @@ def symmetric_arc_pairs(g):
     Each pair appears once, with the smaller arc id first; empty iff the
     graph has no symmetric edges.
     """
-    pairs = []
-    for aid, (t, h) in enumerate(g.arcs):
-        bid = g.arc_index.get((h, t))
-        if bid is not None and aid < bid:
-            pairs.append((aid, bid))
-    return pairs
+    if g.n_arcs == 0:
+        return []
+    key = g.tails * g.n + g.heads
+    reverse_key = g.heads * g.n + g.tails
+    order = np.argsort(key)
+    by_reverse = np.argsort(reverse_key)  # sorted needles keep the search cache-friendly
+    at = np.searchsorted(key[order], reverse_key[by_reverse])
+    rev = np.empty(g.n_arcs, dtype=np.int64)  # the reverse arc, where there is one
+    rev[by_reverse] = order[np.minimum(at, g.n_arcs - 1)]
+    aid = np.flatnonzero((key[rev] == reverse_key) & (np.arange(g.n_arcs) < rev))
+    return list(zip(aid.tolist(), rev[aid].tolist()))
 
 
 def is_robustly_strongly_connected(g):

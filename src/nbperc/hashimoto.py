@@ -1,16 +1,18 @@
 """Non-backtracking transition operator on arcs and its oriented line graph.
 
-The operator is stored matrix-free as successor lists: arc v follows arc
-u = i->j iff tail(v) = j and head(v) != i.  Those lists are exactly the
-adjacency of the oriented line graph (OLG), so one structure serves both
-roles.
+The operator is stored matrix-free as flat transition arrays: arc v
+follows arc u = i->j iff tail(v) = j and head(v) != i.  Those transitions
+are exactly the arcs of the oriented line graph (OLG), so one structure
+serves both roles.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .graph import DiGraph
+from .graph import DiGraph, _offsets, _split
 
 EXACT_TRACE_CAP = 5000
 
@@ -18,28 +20,26 @@ EXACT_TRACE_CAP = 5000
 class HashimotoOperator:
     """Matrix-free non-backtracking operator of a simple digraph.
 
-    ``pair_u`` / ``pair_v`` hold every stored transition (v follows u) as
-    flat arrays, ordered by u then by v's arc id; ``succ`` holds the same
-    data as per-arc lists.
+    ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
+    int64 arrays, ordered by u then by v's arc id; ``succ`` is the same
+    data as per-arc tuples, derived on first use.
     """
 
-    __slots__ = ("n_arcs", "graph", "succ", "pair_u", "pair_v")
-
-    def __init__(self, graph, succ):
+    def __init__(self, graph, pair_u, pair_v):
         self.graph = graph
         self.n_arcs = graph.n_arcs
-        self.succ = [tuple(s) for s in succ]
-        counts = np.fromiter((len(s) for s in self.succ), dtype=np.int64, count=self.n_arcs)
-        self.pair_u = np.repeat(np.arange(self.n_arcs, dtype=np.int64), counts)
-        flat = [v for s in self.succ for v in s]
-        self.pair_v = np.asarray(flat, dtype=np.int64)
+        self.pair_u = pair_u
+        self.pair_v = pair_v
 
     @property
     def dim(self):
         return self.n_arcs
 
-    def successors(self, arc_id):
-        return self.succ[arc_id]
+    @cached_property
+    def succ(self):
+        """Per-arc tuples of successor arc ids, in arc-id order."""
+        ptr = _offsets(self.pair_u, self.n_arcs)
+        return [tuple(s) for s in _split(self.pair_v.tolist(), ptr)]
 
     def apply(self, x):
         """y_v = sum over u with v following u of x_u (forward transition)."""
@@ -65,20 +65,24 @@ class HashimotoOperator:
 
 
 def build_hashimoto(g):
-    """Transcribe the non-backtracking rule into successor lists."""
-    succ = []
-    for t, h in g.arcs:
-        row = [a for a in g.out_adj[h] if g.arcs[a][1] != t]
-        succ.append(row)
-    return HashimotoOperator(g, succ)
+    """The non-backtracking rule on arrays: the candidates after arc u are
+    the arcs leaving head(u), listed per u in out-CSR (arc-id) order; the
+    one that returns to tail(u) is dropped."""
+    first = g.out_ptr[g.heads]
+    fan = g.out_ptr[g.heads + 1] - first
+    u = np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)
+    # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
+    shift = np.repeat(first - (np.cumsum(fan) - fan), fan)
+    v = g.out_order[np.arange(len(u)) + shift]
+    keep = g.heads[v] != g.tails[u]
+    return HashimotoOperator(g, u[keep], v[keep])
 
 
 def build_olg(g):
     """Oriented line graph: one vertex per arc of g, arcs per allowed
     non-backtracking succession.  Its adjacency matrix equals the operator."""
     h = g if isinstance(g, HashimotoOperator) else build_hashimoto(g)
-    arcs = list(zip(h.pair_u.tolist(), h.pair_v.tolist()))
-    return DiGraph(h.n_arcs, arcs)
+    return DiGraph.from_arrays(h.n_arcs, h.pair_u, h.pair_v)
 
 
 def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):

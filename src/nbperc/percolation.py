@@ -28,8 +28,6 @@ class PercolationConfig:
     trials: int
     master_seed: int
     giant_fraction: float = 0.01
-    roots: tuple = ()
-    m_max: int = 20
     coupled: bool = True
 
     def __post_init__(self):
@@ -252,7 +250,7 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     if m_max < 1 or trials < 1:
         raise ValueError("m_max and trials must be >= 1")
     rng = trial_rng(seed, v)
-    neighbors = [g.out_neighbors(u) for u in range(g.n)]
+    neighbors = g.out_heads
     size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
     chunk = 20000
     remaining = trials

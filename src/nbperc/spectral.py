@@ -138,8 +138,8 @@ def induced_norms(h):
     """
     if h.n_arcs == 0:
         return 0, 0
-    norm_row = max(len(s) for s in h.succ)
-    norm_col = int(np.bincount(h.pair_v, minlength=h.n_arcs).max()) if len(h.pair_v) else 0
+    norm_row = int(np.bincount(h.pair_u, minlength=h.n_arcs).max())
+    norm_col = int(np.bincount(h.pair_v, minlength=h.n_arcs).max())
     return norm_row, norm_col
 
 
@@ -164,7 +164,7 @@ def left_perron_vector(h, tol=DEFAULT_TOL, max_iter=None):
     """
     ok, arc_id = olg_strongly_connected(h)
     if not ok:
-        arc = h.graph.arcs[arc_id]
+        arc = (int(h.graph.tails[arc_id]), int(h.graph.heads[arc_id]))
         raise NotStronglyConnectedError(
             f"oriented line graph is not strongly connected (e.g. arc {arc})",
             arc=arc,

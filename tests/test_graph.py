@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,84 @@ class TestParse:
             assert g2.n == g.n
             assert g2.arcs == g.arcs
 
+    def test_int_tokens_and_line_breaks_as_python_reads_them(self):
+        g = parse_edge_list("0 1\r\n+2\t1_0\x0b\u0663 0\r\n\n  #n 12  ")
+        assert g.n == 12
+        assert g.arcs == ((0, 1), (2, 10), (3, 0))
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list("0 1\r\n1 2\r0 x")
+        assert exc.value.line == 3
+
+
+def _read_lines(text, undirected):
+    """Line-by-line reading of valid edge-list text: (declared n, arcs)."""
+    declared_n, arcs = None, []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts[:1] == ["n"]:
+                declared_n = int(parts[1])
+        elif line:
+            u, v = (int(tok) for tok in line.split())
+            arcs += [(u, v), (v, u)] if undirected else [(u, v)]
+    return declared_n, arcs
+
+
+def test_bulk_parse_matches_line_by_line_reading():
+    rng = random.Random(7)
+    spaces = [" ", "\t", "  ", "\x1f", "\u3000"]
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028", "\n\n"]
+    spellings = [
+        str,
+        lambda x: f"+{x}",
+        lambda x: f"00{x}",
+        lambda x: "_".join(str(x)),
+        lambda x: "".join(chr(0x660 + int(d)) for d in str(x)),  # Arabic-Indic digits
+    ]
+    for _ in range(200):
+        undirected = rng.random() < 0.5
+        n = rng.randint(2, 30)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 40))}
+        pairs = [p if undirected or rng.random() < 0.5 else p[::-1] for p in sorted(pairs)]
+        lines = []
+        for u, v in pairs:
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "# note", f"#n {n + rng.randint(0, 3)}", "#n5"]))
+            spell_u, spell_v = rng.choice(spellings), rng.choice(spellings)
+            lines.append(rng.choice(["", " "]) + spell_u(u) + rng.choice(spaces)
+                         + spell_v(v) + rng.choice(["", "\t"]))
+        text = "".join(line + rng.choice(breaks) for line in lines)
+        declared_n, arcs = _read_lines(text, undirected)
+        g = parse_edge_list(text, undirected=undirected)
+        max_id = max((max(a) for a in arcs), default=-1)
+        assert g.n == (max_id + 1 if declared_n is None else declared_n)
+        assert g.arcs == tuple(arcs)
+
+
+# (text, undirected, exact message, line); the message carries the line.
+PARSE_ERRORS = [
+    ("0 1\n1 x", False, "line 2: non-integer vertex id in '1 x'", 2),
+    ("0 1\n\n-1 2", False, "line 3: negative vertex id in '-1 2'", 3),
+    ("0 1 2", False, "line 1: expected two vertex ids, got 3 tokens", 1),
+    ("0 1\n#n", False, "line 2: malformed '#n' header", 2),
+    ("#n x\n0 1", False, "line 1: bad vertex count 'x'", 1),
+    ("#n -3\n0 1", False, "line 1: negative vertex count -3", 1),
+    ("#n 2\n0 1\n1 2", False, "vertex id 2 exceeds declared count 2", None),
+    ("0 1\n1 0", True, "line 2: duplicate arc (1, 0)", 2),
+    ("#n 3\n0 1\n2 2\n5 x\n0 1\n7 8", False, "line 3: self-loop (2,2)", 3),
+    ("0 1\n9223372036854775808 1", False,
+     "line 2: vertex id too large in '9223372036854775808 1'", 2),
+]
+
+
+@pytest.mark.parametrize("text,undirected,message,line", PARSE_ERRORS)
+def test_parse_error_message_and_line(text, undirected, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(text, undirected=undirected)
+    assert str(exc.value) == message
+    assert exc.value.line == line
+
 
 class TestDiGraph:
     def test_rejects_self_loop(self):
@@ -73,6 +153,22 @@ class TestDiGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphStructureError):
             DiGraph(2, [(0, 2)])
+
+    def test_reports_earliest_offending_arc(self):
+        cases = [
+            ([(0, 1), (1, 1), (0, 5), (0, 1)], "self-loop (1,1) not allowed"),
+            ([(0, 1), (0, 1), (2, 2)], "duplicate arc (0,1)"),
+            ([(0, 1), (3, 3), (1, 1)], "arc (3,3) references vertex outside 0..2"),
+            ([(0, 1), (2**64, 0)], f"arc ({2**64},0) references vertex outside 0..2"),
+        ]
+        for arcs, message in cases:
+            with pytest.raises(GraphStructureError) as exc:
+                DiGraph(3, arcs)
+            assert str(exc.value) == message
+
+    def test_from_arrays_equals_pairs(self, chord):
+        g = DiGraph.from_arrays(chord.n, chord.tails, chord.heads)
+        assert g == chord and g.arcs == chord.arcs
 
     def test_adjacency_indexing(self, c3):
         assert c3.out_adj[0] == [0]

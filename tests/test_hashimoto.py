@@ -64,6 +64,20 @@ class TestBuild:
                 mat[u, list(succ)] = 1.0
             assert (mat == dense).all()
 
+    def test_pair_order_is_by_u_then_v(self):
+        # The power iteration sums transitions in this order, so it fixes
+        # every printed digit of rho(H).
+        for seed in range(20):
+            g = gen_erdos_renyi_digraph(9, 0.3, seed)
+            h = build_hashimoto(g)
+            assert (np.diff(h.pair_u) >= 0).all()
+            same_u = h.pair_u[1:] == h.pair_u[:-1]
+            assert (np.diff(h.pair_v)[same_u] > 0).all()
+            u, v = np.nonzero(dense_hashimoto(g))  # row-major: by u, then v
+            assert h.pair_u.tolist() == u.tolist()
+            assert h.pair_v.tolist() == v.tolist()
+
+
 
 class TestOlg:
     def test_cycle_olg_is_cycle(self, c3):
