@@ -10,6 +10,7 @@ from .bounds import (
     out_component_probability_bound,
     pc_lower_bounds,
     sac_bound_closed,
+    sac_bound_logdet,
     sac_bound_trace,
 )
 from .cycles import (

@@ -3,7 +3,9 @@
 Every bound here is evaluated strictly inside its validity domain; a
 violated domain raises BoundDomainError instead of clamping, so a void
 bound can never masquerade as a finite number in a validation sweep.
-Truncated series come with a rigorous geometric tail certificate.
+The trace series of the self-avoiding-cycle bound is summed in closed
+form, -ln det(I - pH); truncated series come with a rigorous geometric
+tail certificate.
 """
 from __future__ import annotations
 
@@ -11,8 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix, identity
+from scipy.sparse.linalg import splu
 
-from .errors import BoundDomainError
+from .errors import BoundDomainError, CapExceededError
 from .hashimoto import EXACT_TRACE_CAP, trace_powers
 from .spectral import induced_norms
 
@@ -34,8 +38,6 @@ class BoundsReport:
     improved_out: list = field(default_factory=list)
     sac_closed: list = field(default_factory=list)
     sac_trace: list = field(default_factory=list)
-    sac_trace_tail: list = field(default_factory=list)
-    trace_cutoff: int | None = None
 
 
 def pc_lower_bounds(sr):
@@ -47,13 +49,18 @@ def pc_lower_bounds(sr):
     return pc_spectral, pc_out, pc_in
 
 
+def _check_domain(p, x, name):
+    """Raise BoundDomainError unless 0 <= p <= 1 and p*x < 1."""
+    if not 0.0 <= p <= 1.0:
+        raise BoundDomainError(f"probability {p} outside [0,1]")
+    if p * x >= 1.0:
+        raise BoundDomainError(f"bound void: p*{name} = {p * x} >= 1")
+
+
 def out_component_probability_bound(p, norm):
     """Upper bound (1 - p*norm)^-1 on m * P(root of out-component >= m),
     valid for p*norm < 1."""
-    if not 0.0 <= p <= 1.0:
-        raise BoundDomainError(f"probability {p} outside [0,1]")
-    if p * norm >= 1.0:
-        raise BoundDomainError(f"bound void: p*norm = {p * norm} >= 1")
+    _check_domain(p, norm, "norm")
     return 1.0 / (1.0 - p * norm)
 
 
@@ -62,39 +69,52 @@ def improved_out_bound(p, rho_h, gamma_l):
     connected oriented line graph (gamma_L defined)."""
     if gamma_l is None:
         raise BoundDomainError("gamma_L unavailable (OLG not strongly connected)")
-    if not 0.0 <= p <= 1.0:
-        raise BoundDomainError(f"probability {p} outside [0,1]")
-    if p * rho_h >= 1.0:
-        raise BoundDomainError(f"bound void: p*rho_H = {p * rho_h} >= 1")
+    _check_domain(p, rho_h, "rho_H")
     return gamma_l / (1.0 - p * rho_h)
 
 
 def sac_bound_closed(p, rho_h, n_arcs):
     """n_E * |ln(1 - p*rho_H)|, valid for p*rho_H < 1."""
-    if not 0.0 <= p <= 1.0:
-        raise BoundDomainError(f"probability {p} outside [0,1]")
-    if p * rho_h >= 1.0:
-        raise BoundDomainError(f"bound void: p*rho_H = {p * rho_h} >= 1")
+    _check_domain(p, rho_h, "rho_H")
     return n_arcs * abs(math.log1p(-p * rho_h))
 
 
-def sac_bound_trace(p, h, cutoff, rho_h, cap=EXACT_TRACE_CAP, traces=None):
-    """Truncated series sum_{s<=cutoff} p^s Tr H^s / s with a tail bound.
+def sac_bound_logdet(p, h, rho_h):
+    """-ln det(I - pH) = sum_s p^s Tr H^s / s, valid for p*rho_H < 1.
+
+    The whole trace series in closed form (the Ihara-Hashimoto zeta
+    identity), from one sparse LU of I - pH: det(I - pH) > 0 inside the
+    domain, so it is the product of |diag U|.  rho_H = 0 means H is
+    nilpotent, so det(I - pH) = 1 and nothing is factorised.  The series
+    has no negative term, so rounding below zero (and -0.0 at p = 0) is
+    returned as +0.0.  Above EXACT_TRACE_CAP arcs, where LU fill-in can
+    exhaust memory, raises CapExceededError.
+    """
+    _check_domain(p, rho_h, "rho_H")
+    k = h.n_arcs
+    if k > EXACT_TRACE_CAP:
+        raise CapExceededError(
+            f"log-determinant needs n_arcs <= {EXACT_TRACE_CAP}, got {k}"
+        )
+    if rho_h == 0.0:
+        return 0.0
+    pairs = csc_matrix((np.full(len(h.pair_u), p), (h.pair_u, h.pair_v)), shape=(k, k))
+    lu = splu(identity(k, format="csc") - pairs)
+    return max(0.0, -float(np.log(np.abs(lu.U.diagonal())).sum()))
+
+
+def sac_bound_trace(p, h, cutoff, rho_h, cap=EXACT_TRACE_CAP):
+    """Truncated series sum_{s<=cutoff} p^s Tr H^s / s with a tail bound,
+    from exact traces: the reference that sac_bound_logdet sums in full.
 
     Returns (value, tail) where tail = n_E * sum_{s>cutoff} (p*rho)^s / s
-    certifies the truncation error of the dominating closed form.  Pass
-    ``traces`` (exact Tr H^s for s = 1..cutoff) to reuse a prior census.
+    certifies the truncation error of the dominating closed form.
     """
-    if not 0.0 <= p <= 1.0:
-        raise BoundDomainError(f"probability {p} outside [0,1]")
-    if p * rho_h >= 1.0:
-        raise BoundDomainError(f"bound void: p*rho_H = {p * rho_h} >= 1")
+    _check_domain(p, rho_h, "rho_H")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if traces is None:
-        traces = trace_powers(h, cutoff, cap=cap)
     value = 0.0
-    for s, tr in enumerate(traces, start=1):
+    for s, tr in enumerate(trace_powers(h, cutoff, cap=cap), start=1):
         if tr:
             value += (p ** s) * float(tr) / s
     x = p * rho_h
@@ -114,10 +134,7 @@ def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
     g = h.graph
     if norm_row is None:
         norm_row = induced_norms(h)[0]
-    if not 0.0 <= p <= 1.0:
-        raise BoundDomainError(f"probability {p} outside [0,1]")
-    if p * norm_row >= 1.0:
-        raise BoundDomainError(f"bound void: p*norm_row = {p * norm_row} >= 1")
+    _check_domain(p, norm_row, "norm_row")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     w = np.zeros(h.n_arcs)
@@ -135,34 +152,18 @@ def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
     return value, tail
 
 
-def compute_bounds_report(sr, h, p_grid, trace_cutoff=None, trace_cap=EXACT_TRACE_CAP):
-    """Evaluate every bound curve on the grid; void entries become None."""
-    pc_spectral, pc_out, pc_in = pc_lower_bounds(sr)
+def compute_bounds_report(sr, h, p_grid, trace_cap=EXACT_TRACE_CAP):
+    """Evaluate every bound curve on the grid; void entries become None,
+    and so does sac_trace when the operator is empty or above the cap."""
     p_grid = tuple(float(p) for p in p_grid)
-    if trace_cutoff is None:
-        trace_cutoff = max(h.graph.n, 32)
-    report = BoundsReport(
-        pc_spectral=pc_spectral,
-        pc_out=pc_out,
-        pc_in=pc_in,
-        p_grid=p_grid,
-        trace_cutoff=trace_cutoff,
-    )
-    traces = None
-    if 0 < h.n_arcs <= trace_cap:
-        traces = trace_powers(h, trace_cutoff, cap=trace_cap)
+    report = BoundsReport(*pc_lower_bounds(sr), p_grid=p_grid)
+    in_cap = 0 < h.n_arcs <= trace_cap
     for p in p_grid:
         report.theorem1_out.append(_try(out_component_probability_bound, p, sr.norm_row))
         report.theorem1_in.append(_try(out_component_probability_bound, p, sr.norm_col))
         report.improved_out.append(_try(improved_out_bound, p, sr.rho_H, sr.gamma_L))
         report.sac_closed.append(_try(sac_bound_closed, p, sr.rho_H, h.n_arcs))
-        if traces is not None:
-            pair = _try(sac_bound_trace, p, h, trace_cutoff, sr.rho_H, trace_cap, traces)
-            report.sac_trace.append(pair[0] if pair else None)
-            report.sac_trace_tail.append(pair[1] if pair else None)
-        else:
-            report.sac_trace.append(None)
-            report.sac_trace_tail.append(None)
+        report.sac_trace.append(_try(sac_bound_logdet, p, h, sr.rho_H) if in_cap else None)
     return report
 
 

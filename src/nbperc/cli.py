@@ -21,17 +21,10 @@ from .bounds import (
     out_component_probability_bound,
     improved_out_bound,
     sac_bound_closed,
-    sac_bound_trace,
+    sac_bound_logdet,
 )
 from .cycles import VERTEX_CAP, enumerate_elementary_circuits, expected_sac_count
-from .errors import (
-    BoundDomainError,
-    CapExceededError,
-    GraphStructureError,
-    NbpercError,
-    NonConvergenceError,
-    ParseError,
-)
+from .errors import BoundDomainError, NbpercError, NonConvergenceError, ParseError
 from .generators import (
     gen_complete_sym,
     gen_cycle,
@@ -43,13 +36,13 @@ from .generators import (
 )
 from .graph import (
     _arc_lines,
+    _symmetric_arcs,
     is_robustly_strongly_connected,
     parse_edge_list,
     serialize_edge_list,
     strongly_connected_components,
-    symmetric_arc_pairs,
 )
-from .hashimoto import EXACT_TRACE_CAP, build_hashimoto, trace_powers
+from .hashimoto import EXACT_TRACE_CAP, build_hashimoto
 from .percolation import (
     PercolationConfig,
     estimate_out_prob,
@@ -64,6 +57,9 @@ EXIT_NUMERIC = 3
 # Robust-strong-connectivity re-checks the graph once per symmetric arc;
 # skip (report null) beyond this work estimate.
 ROBUST_CHECK_BUDGET = 10_000_000
+
+# BoundsReport curves, in document order; a void entry prints as "void".
+CURVES = ("theorem1_out", "theorem1_in", "improved_out", "sac_closed", "sac_trace")
 
 
 def _input_digest(g):
@@ -98,6 +94,15 @@ def _parse_p_list(text):
     return values
 
 
+def _parse_roots(text, n):
+    """Comma list of root vertices, each checked against 0..n-1."""
+    roots = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    for r in roots:
+        if not 0 <= r < n:
+            raise ParseError(f"root {r} outside 0..{n - 1}")
+    return roots
+
+
 def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -111,9 +116,9 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
     an optional cycle census."""
     h = build_hashimoto(g)
     labeling = strongly_connected_components(g)
-    sym_pairs = symmetric_arc_pairs(g)
+    sym_count = len(_symmetric_arcs(g)[0])
     olg_sc, _ = olg_strongly_connected(h)
-    if len(sym_pairs) * g.n <= ROBUST_CHECK_BUDGET:
+    if sym_count * g.n <= ROBUST_CHECK_BUDGET:
         robust = is_robustly_strongly_connected(g)
     else:
         robust = None
@@ -126,7 +131,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
         "graph": {
             "n": g.n,
             "n_arcs": g.n_arcs,
-            "symmetric_pair_count": len(sym_pairs),
+            "symmetric_pair_count": sym_count,
             "scc_count": labeling.count,
             "robustly_strongly_connected": robust,
             "olg_strongly_connected": olg_sc,
@@ -146,13 +151,8 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
             "pc_out": _fmt(br.pc_out),
             "pc_in": _fmt(br.pc_in),
             "p_grid": [_fmt(p) for p in br.p_grid],
-            "theorem1_out": [_fmt(x) if x is not None else "void" for x in br.theorem1_out],
-            "theorem1_in": [_fmt(x) if x is not None else "void" for x in br.theorem1_in],
-            "improved_out": [_fmt(x) if x is not None else "void" for x in br.improved_out],
-            "sac_closed": [_fmt(x) if x is not None else "void" for x in br.sac_closed],
-            "sac_trace": [_fmt(x) if x is not None else "void" for x in br.sac_trace],
-            "sac_trace_tail": [_fmt(x) if x is not None else "void" for x in br.sac_trace_tail],
-            "trace_cutoff": br.trace_cutoff,
+            **{name: [_fmt(x) if x is not None else "void" for x in getattr(br, name)]
+               for name in CURVES},
         },
     }
     if cycles_max_len is not None:
@@ -211,10 +211,7 @@ def cmd_simulate(args):
         p_grid = (float(args.p_min),)
     else:
         p_grid = tuple(np.linspace(args.p_min, args.p_max, args.steps).tolist())
-    roots = tuple(int(r) for r in args.roots.split(",") if r.strip()) if args.roots else ()
-    for r in roots:
-        if not 0 <= r < g.n:
-            raise ParseError(f"root {r} outside 0..{g.n - 1}")
+    roots = _parse_roots(args.roots, g.n)
     config = PercolationConfig(
         p_grid=p_grid,
         trials=args.trials,
@@ -296,14 +293,10 @@ def cmd_bounds_check(args):
     p_list = _parse_p_list(args.p)
     h = build_hashimoto(g)
     sr = compute_spectral_report(g, h)
-    roots = tuple(int(r) for r in args.roots.split(",") if r.strip()) if args.roots else tuple(
-        range(min(3, g.n))
-    )
-    census = traces = None
-    cutoff = max(g.n, 32)
+    roots = _parse_roots(args.roots, g.n) if args.roots else tuple(range(min(3, g.n)))
+    census = None
     if g.n <= VERTEX_CAP and 0 < g.n_arcs <= EXACT_TRACE_CAP:
         census = enumerate_elementary_circuits(g)
-        traces = trace_powers(h, cutoff)
     out = io.StringIO()
     out.write(
         "p,theorem1_bound,max_m_phat,theorem1_verdict,"
@@ -332,7 +325,7 @@ def cmd_bounds_check(args):
         if census is not None:
             try:
                 e_n = expected_sac_count(census, p)
-                tr_val, _ = sac_bound_trace(p, h, cutoff, sr.rho_H, traces=traces)
+                tr_val = sac_bound_logdet(p, h, sr.rho_H)
                 cl = sac_bound_closed(p, sr.rho_H, g.n_arcs)
                 sac_ok = e_n <= tr_val + 1e-12 and tr_val <= cl + 1e-9
                 sac_cells = [
@@ -442,18 +435,12 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, GraphStructureError, CapExceededError, ValueError) as exc:
-        print(f"nbperc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"nbperc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"nbperc: numeric failure: {exc}", file=sys.stderr)
         if exc.bracket is not None:
             print(f"nbperc: certified bracket: {exc.bracket}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NbpercError as exc:
+    except (NbpercError, ValueError, OSError) as exc:
         print(f"nbperc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

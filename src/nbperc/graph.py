@@ -380,8 +380,14 @@ def symmetric_arc_pairs(g):
     Each pair appears once, with the smaller arc id first; empty iff the
     graph has no symmetric edges.
     """
+    aid, bid = _symmetric_arcs(g)
+    return list(zip(aid.tolist(), bid.tolist()))
+
+
+def _symmetric_arcs(g):
+    """symmetric_arc_pairs as two arrays: aid[i] < bid[i] are reverse arcs."""
     if g.n_arcs == 0:
-        return []
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     key = g.tails * g.n + g.heads
     reverse_key = g.heads * g.n + g.tails
     order = np.argsort(key)
@@ -390,7 +396,7 @@ def symmetric_arc_pairs(g):
     rev = np.empty(g.n_arcs, dtype=np.int64)  # the reverse arc, where there is one
     rev[by_reverse] = order[np.minimum(at, g.n_arcs - 1)]
     aid = np.flatnonzero((key[rev] == reverse_key) & (np.arange(g.n_arcs) < rev))
-    return list(zip(aid.tolist(), rev[aid].tolist()))
+    return aid, rev[aid]
 
 
 def is_robustly_strongly_connected(g):
@@ -398,12 +404,10 @@ def is_robustly_strongly_connected(g):
     member of any symmetric arc pair (one at a time)."""
     if not is_strongly_connected(g):
         return False
-    pairs = symmetric_arc_pairs(g)
-    for aid, bid in pairs:
-        for drop in (aid, bid):
-            keep = np.ones(g.n_arcs, dtype=bool)
-            keep[drop] = False
-            ncomp, _ = _scc_labels(g.n, g.tails[keep], g.heads[keep])
-            if ncomp != 1:
-                return False
+    for drop in np.concatenate(_symmetric_arcs(g)).tolist():
+        keep = np.ones(g.n_arcs, dtype=bool)
+        keep[drop] = False
+        ncomp, _ = _scc_labels(g.n, g.tails[keep], g.heads[keep])
+        if ncomp != 1:
+            return False
     return True

@@ -43,25 +43,19 @@ class HashimotoOperator:
 
     def apply(self, x):
         """y_v = sum over u with v following u of x_u (forward transition)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_arcs,):
-            raise DimensionMismatchError(
-                f"expected vector of length {self.n_arcs}, got shape {x.shape}"
-            )
-        if self.n_arcs == 0:
-            return np.zeros(0)
-        return np.bincount(self.pair_v, weights=x[self.pair_u], minlength=self.n_arcs)
+        return self._push(x, self.pair_u, self.pair_v)
 
     def apply_transpose(self, x):
         """y_u = sum over v following u of x_v (reverse transition)."""
+        return self._push(x, self.pair_v, self.pair_u)
+
+    def _push(self, x, src, dst):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_arcs,):
             raise DimensionMismatchError(
                 f"expected vector of length {self.n_arcs}, got shape {x.shape}"
             )
-        if self.n_arcs == 0:
-            return np.zeros(0)
-        return np.bincount(self.pair_u, weights=x[self.pair_v], minlength=self.n_arcs)
+        return np.bincount(dst, weights=x[src], minlength=self.n_arcs)
 
 
 def build_hashimoto(g):

@@ -5,24 +5,29 @@ the strongly connected blocks of its digraph, so the engine decomposes
 into blocks first and runs shifted power iteration with a Collatz-
 Wielandt bracket on each irreducible block.  The shift (+I) makes every
 block primitive, which turns the bracket convergence geometric even on
-periodic structures like pure cycles; an acyclic (nilpotent) operator is
-detected structurally and reported as an exact zero.
+periodic structures like pure cycles; a block that power iteration cannot
+close (long cycles with few chords narrow at 1 - O(1/L^2) per step) is
+finished by shifted inverse iteration.  An acyclic (nilpotent) operator
+is detected structurally and reported as an exact zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix, identity
+from scipy.sparse.linalg import splu
 
 from .errors import NonConvergenceError, NotStronglyConnectedError
 from .graph import DiGraph, _scc_labels
 from .hashimoto import HashimotoOperator, build_hashimoto
 
 DEFAULT_TOL = 1e-10
+INVERSE_STEPS = 32
 
 METHOD_POWER = "power-shifted"
+METHOD_INVERSE = "inverse-shifted"
 METHOD_NILPOTENT = "nilpotent-detected"
-METHOD_GELFAND = "gelfand-fallback"
 
 
 @dataclass
@@ -57,12 +62,16 @@ def _operator_pairs(op):
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def _block_rho(k, src, dst, tol, max_iter):
-    """Certified spectral radius of one irreducible block.
+def _perron(k, src, dst, tol, max_iter):
+    """Certified Perron root bracket and vector of one irreducible block.
 
-    Collatz-Wielandt on the shifted block: for positive x,
-    min_i ((B+I)x)_i / x_i - 1  <=  rho(B)  <=  max_i ((B+I)x)_i / x_i - 1.
-    Returns (lo, hi, iterations).
+    Collatz-Wielandt: for positive x and (Bx)_v = sum of x_u over the
+    pairs u -> v,  min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i.
+    Up to ``max_iter`` shifted power steps x <- (B + I)x, then, while the
+    bracket is wider than ``tol``, up to INVERSE_STEPS solves
+    x <- (sigma I - B)^-1 x, sigma = hi + (hi - lo) > rho: that inverse,
+    sum_j B^j / sigma^(j+1), is positive with B's Perron vector, so x
+    stays positive and every bracket certified.  Returns (lo, hi, x, steps).
     """
     x = np.full(k, 1.0 / k)
     lo, hi = 0.0, float(k)
@@ -72,32 +81,48 @@ def _block_rho(k, src, dst, tol, max_iter):
         lo, hi = float(r.min()) - 1.0, float(r.max()) - 1.0
         x = y / y.sum()
         if hi - lo < tol:
-            return lo, hi, it
-    return lo, hi, max_iter
+            return lo, hi, x, it
+    b = csc_matrix((np.ones(len(src)), (dst, src)), shape=(k, k))
+    eye = identity(k, format="csc")
+    for it in range(max_iter + 1, max_iter + INVERSE_STEPS + 1):
+        try:
+            y = splu((hi + (hi - lo)) * eye - b).solve(x)
+        except RuntimeError:  # the shift met an eigenvalue by rounding
+            break
+        if not (y > 0).all():
+            break
+        r = np.bincount(dst, weights=y[src], minlength=k) / y
+        lo, hi = max(lo, float(r.min())), min(hi, float(r.max()))
+        x = y / y.sum()
+        if hi - lo < tol:
+            break
+    return lo, hi, x, it
 
 
 def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
     """Perron-Frobenius spectral radius of a 0/1 nonnegative operator.
 
-    ``op`` is a DiGraph (adjacency action) or a HashimotoOperator.
+    ``op`` is a DiGraph (adjacency action) or a HashimotoOperator.  A
+    block whose bracket is still wider than ``tol`` after ``max_iter``
+    power steps and INVERSE_STEPS inverse steps raises NonConvergenceError
+    carrying the certified bracket.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     dim, src, dst = _operator_pairs(op)
     if max_iter is None:
         max_iter = 10 * dim + 1000
-    if dim == 0 or len(src) == 0:
-        return SpectralRadiusResult(0.0, METHOD_NILPOTENT, 0.0, 0)
     ncomp, labels = _scc_labels(dim, src, dst)
     sizes = np.bincount(labels, minlength=ncomp)
     nontrivial = np.flatnonzero(sizes > 1)
     if len(nontrivial) == 0:
-        # Every block is a singleton and there are no self-loops: the
-        # operator digraph is acyclic, hence the operator is nilpotent.
+        # No arcs, or every block is a singleton and there are no
+        # self-loops: the operator digraph is acyclic, hence nilpotent.
         return SpectralRadiusResult(0.0, METHOD_NILPOTENT, 0.0, 0)
     best_lo = best_hi = 0.0
     total_it = 0
     converged = True
+    inverse = False
     comp_src = labels[src]
     same = comp_src == labels[dst]
     for comp in nontrivial:
@@ -105,24 +130,21 @@ def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
         members = np.flatnonzero(labels == comp)
         local = np.full(dim, -1, dtype=np.int64)
         local[members] = np.arange(len(members))
-        lo, hi, it = _block_rho(
+        lo, hi, _, it = _perron(
             len(members), local[src[mask]], local[dst[mask]], tol, max_iter
         )
         total_it += it
-        if hi - lo >= tol:
-            converged = False
+        converged &= hi - lo < tol
+        inverse |= it > max_iter
         if hi > best_hi:
             best_lo, best_hi = lo, hi
-    rho = 0.5 * (best_lo + best_hi)
-    residual = best_hi - best_lo
-    if converged:
-        return SpectralRadiusResult(rho, METHOD_POWER, residual, total_it)
-    if residual > max(1.0, rho):
+    if not converged:
         raise NonConvergenceError(
             f"spectral radius bracket did not converge: [{best_lo}, {best_hi}]",
             bracket=(best_lo, best_hi),
         )
-    return SpectralRadiusResult(rho, METHOD_GELFAND, residual, total_it)
+    method = METHOD_INVERSE if inverse else METHOD_POWER
+    return SpectralRadiusResult(0.5 * (best_lo + best_hi), method, best_hi - best_lo, total_it)
 
 
 def adjacency_spectral_radius(g, tol=DEFAULT_TOL, max_iter=None):
@@ -173,22 +195,14 @@ def left_perron_vector(h, tol=DEFAULT_TOL, max_iter=None):
         raise NotStronglyConnectedError("empty operator has no Perron vector")
     if max_iter is None:
         max_iter = 10 * h.n_arcs + 1000
-    k = h.n_arcs
-    xi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        y = h.apply(xi) + xi
-        r = y / xi
-        lo, hi = float(r.min()) - 1.0, float(r.max()) - 1.0
-        xi = y / y.sum()
-        if hi - lo < tol:
-            rho = 0.5 * (lo + hi)
-            residual = float(np.abs(h.apply(xi) - rho * xi).sum())
-            if residual <= tol:
-                gamma = float(xi.max() / xi.min())
-                return xi, gamma
-    raise NonConvergenceError(
-        f"left Perron vector did not converge within {max_iter} iterations"
-    )
+    lo, hi, xi, it = _perron(h.n_arcs, h.pair_u, h.pair_v, tol, max_iter)
+    residual = float(np.abs(h.apply(xi) - 0.5 * (lo + hi) * xi).sum())
+    if hi - lo >= tol or residual > tol:
+        raise NonConvergenceError(
+            f"left Perron vector did not converge within {it} iterations",
+            bracket=(lo, hi),
+        )
+    return xi, float(xi.max() / xi.min())
 
 
 def compute_spectral_report(g, h=None, tol=DEFAULT_TOL, max_iter=None):
@@ -199,11 +213,10 @@ def compute_spectral_report(g, h=None, tol=DEFAULT_TOL, max_iter=None):
     res_h = spectral_radius(h, tol=tol, max_iter=max_iter)
     rho_a = adjacency_spectral_radius(g, tol=tol, max_iter=max_iter)
     norm_row, norm_col = induced_norms(h)
-    left_pf = None
-    gamma = None
-    ok, _ = olg_strongly_connected(h)
-    if ok and h.n_arcs > 0:
+    try:
         left_pf, gamma = left_perron_vector(h, tol=tol, max_iter=max_iter)
+    except NotStronglyConnectedError:
+        left_pf = gamma = None
     return SpectralReport(
         rho_H=res_h.rho,
         rho_A=rho_a,

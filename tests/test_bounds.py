@@ -9,15 +9,22 @@ from nbperc import (
     compute_spectral_report,
     enumerate_elementary_circuits,
     expected_sac_count,
+    gen_complete_sym,
+    gen_cycle,
     gen_erdos_renyi_digraph,
+    gen_random_regular_sym,
     improved_out_bound,
     nb_walk_generating_sum,
     out_component_probability_bound,
     pc_lower_bounds,
     sac_bound_closed,
+    sac_bound_logdet,
     sac_bound_trace,
 )
-from nbperc.errors import BoundDomainError
+from nbperc.errors import BoundDomainError, CapExceededError
+from nbperc.hashimoto import EXACT_TRACE_CAP
+
+from conftest import dense_hashimoto
 
 
 class TestPcLowerBounds:
@@ -122,6 +129,69 @@ class TestSacTrace:
                 value, tail = sac_bound_trace(p, h, 32, sr.rho_H)
                 closed = sac_bound_closed(p, sr.rho_H, h.n_arcs)
                 assert value <= closed + tail + 1e-9
+
+
+class TestSacLogdet:
+    GRAPHS = [gen_cycle(3), gen_complete_sym(4)] + [
+        gen_erdos_renyi_digraph(8, 0.3, seed) for seed in range(6)
+    ]
+
+    def test_dense_slogdet_and_trace_sandwich(self):
+        checked = 0
+        for g in self.GRAPHS:
+            h = build_hashimoto(g)
+            sr = compute_spectral_report(g, h)
+            if sr.rho_H == 0:
+                continue
+            eye = np.eye(h.n_arcs)
+            for target in (0.1, 0.25, 0.5, 0.75, 0.95):
+                p = target / sr.rho_H
+                got = sac_bound_logdet(p, h, sr.rho_H)
+                sign, logdet = np.linalg.slogdet(eye - p * dense_hashimoto(g))
+                assert sign == 1.0
+                assert got == pytest.approx(-logdet, rel=1e-12, abs=1e-14)
+                value, tail = sac_bound_trace(p, h, 64, sr.rho_H)
+                slack = 1e-12 * max(1.0, value)
+                assert value - slack <= got <= value + tail + slack
+                checked += 1
+        assert checked >= 20
+
+    def test_cycle_closed_form(self, c3):
+        # Tr H^s = 3 when 3 | s, else 0: the series is -ln(1 - p^3).
+        got = sac_bound_logdet(0.5, build_hashimoto(c3), 1.0)
+        assert got == pytest.approx(-math.log1p(-0.125), rel=1e-14)
+
+    def test_domain_and_cap(self, k4sym):
+        h = build_hashimoto(k4sym)
+        with pytest.raises(BoundDomainError):
+            sac_bound_logdet(0.5, h, 2.0)
+        with pytest.raises(BoundDomainError):
+            sac_bound_logdet(-0.1, h, 2.0)
+        big = build_hashimoto(gen_cycle(EXACT_TRACE_CAP + 1))
+        with pytest.raises(CapExceededError):
+            sac_bound_logdet(0.1, big, 1.0)
+
+    def test_nilpotent_is_zero(self, p3sym):
+        assert sac_bound_logdet(0.9, build_hashimoto(p3sym), 0.0) == 0.0
+
+    def test_report_positive_zero_at_p_zero(self, k4sym):
+        h = build_hashimoto(k4sym)
+        sr = compute_spectral_report(k4sym, h)
+        br = compute_bounds_report(sr, h, [0.0, 0.2])
+        assert br.sac_trace[0] == 0.0
+        assert math.copysign(1.0, br.sac_trace[0]) == 1.0
+
+    def test_report_at_trace_cap(self):
+        # 4,998 arcs, just under the cap: the old truncated series ran for
+        # hours here.
+        g = gen_random_regular_sym(1666, 3, 1)
+        h = build_hashimoto(g)
+        sr = compute_spectral_report(g, h)
+        grid = [0.05, 0.2, 0.35, 0.45, 0.49]
+        br = compute_bounds_report(sr, h, grid)
+        for p, tr, cl in zip(grid, br.sac_trace, br.sac_closed):
+            assert isinstance(tr, float) and cl is not None
+            assert 0.0 < tr <= cl
 
 
 class TestWalkGeneratingSum:

@@ -162,6 +162,14 @@ class TestBoundsCheck:
         row = out.splitlines()[1]
         assert "void" in row
 
+    def test_root_out_of_range(self, c3_file, capsys):
+        code, out, err = run_cli(
+            ["bounds-check", c3_file, "--p", "0.3", "--roots", "7"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "root 7 outside 0..2" in err
+
 
 class TestEntryPoint:
     def test_subprocess_invocation(self, c3_file):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nbperc import (
+    DiGraph,
     adjacency_spectral_radius,
     build_hashimoto,
     compute_spectral_report,
@@ -12,10 +13,12 @@ from nbperc import (
     gen_random_tree_sym,
     induced_norms,
     left_perron_vector,
+    parse_edge_list,
     spectral_radius,
     symmetric_arc_pairs,
 )
-from nbperc.errors import NotStronglyConnectedError
+from nbperc.errors import NonConvergenceError, NotStronglyConnectedError
+from nbperc.spectral import METHOD_INVERSE
 
 from conftest import dense_adjacency, dense_hashimoto, dense_rho
 
@@ -53,6 +56,43 @@ class TestSpectralRadius:
         g = DiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
         res = spectral_radius(build_hashimoto(g))
         assert abs(res.rho - 1.0) < 1e-8
+
+    CHORD4 = "0 1\n1 2\n2 3\n3 0\n0 2\n"
+
+    def test_stalled_bracket_closed_by_inverse_steps(self):
+        # Symmetrized 4-cycle with the chord 0-2: two power steps leave a
+        # bracket whose midpoint (1.5) lies below rho = 1.52138...
+        g = parse_edge_list(self.CHORD4, undirected=True)
+        true_rho = dense_rho(dense_hashimoto(g))
+        assert true_rho == pytest.approx(1.52138, abs=1e-5)
+        res = spectral_radius(build_hashimoto(g), max_iter=2)
+        assert res.method == METHOD_INVERSE
+        assert res.residual < 1e-10
+        assert abs(res.rho - true_rho) < 1e-9
+
+    def test_unconverged_bracket_raises(self):
+        g = parse_edge_list(self.CHORD4, undirected=True)
+        with pytest.raises(NonConvergenceError) as info:
+            spectral_radius(build_hashimoto(g), tol=1e-300, max_iter=2)
+        lo, hi = info.value.bracket
+        true_rho = dense_rho(dense_hashimoto(g))
+        assert lo - 1e-12 <= true_rho <= hi + 1e-12
+
+    def test_long_cycle_with_chord(self):
+        # Directed 1000-cycle plus the chord 0 -> 501: power iteration
+        # narrows at 1 - O(1/L^2) per step and stalls at the default
+        # max_iter.  The cycles have lengths 1000 and 500, so
+        # rho^-1000 + rho^-500 = 1, i.e. rho = phi^(1/500).
+        n = 1000
+        g = DiGraph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 501)])
+        h = build_hashimoto(g)
+        want = ((1 + 5**0.5) / 2) ** (1 / 500)
+        sr = compute_spectral_report(g, h)
+        assert sr.method == METHOD_INVERSE
+        assert abs(sr.rho_H - want) < 1e-10
+        assert abs(sr.rho_A - want) < 1e-10
+        xi, _ = left_perron_vector(h)
+        assert np.abs(h.apply(xi) - sr.rho_H * xi).sum() <= 1e-10
 
 
 class TestAdjacency:
