@@ -152,23 +152,22 @@ def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
     return value, tail
 
 
-def compute_bounds_report(sr, h, p_grid, trace_cap=EXACT_TRACE_CAP):
+def compute_bounds_report(sr, h, p_grid):
     """Evaluate every bound curve on the grid; void entries become None,
     and so does sac_trace when the operator is empty or above the cap."""
     p_grid = tuple(float(p) for p in p_grid)
     report = BoundsReport(*pc_lower_bounds(sr), p_grid=p_grid)
-    in_cap = 0 < h.n_arcs <= trace_cap
     for p in p_grid:
         report.theorem1_out.append(_try(out_component_probability_bound, p, sr.norm_row))
         report.theorem1_in.append(_try(out_component_probability_bound, p, sr.norm_col))
         report.improved_out.append(_try(improved_out_bound, p, sr.rho_H, sr.gamma_L))
         report.sac_closed.append(_try(sac_bound_closed, p, sr.rho_H, h.n_arcs))
-        report.sac_trace.append(_try(sac_bound_logdet, p, h, sr.rho_H) if in_cap else None)
+        report.sac_trace.append(_try(sac_bound_logdet, p, h, sr.rho_H) if h.n_arcs else None)
     return report
 
 
 def _try(fn, *args):
     try:
         return fn(*args)
-    except BoundDomainError:
+    except (BoundDomainError, CapExceededError):
         return None

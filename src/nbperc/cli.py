@@ -42,13 +42,9 @@ from .graph import (
     serialize_edge_list,
     strongly_connected_components,
 )
-from .hashimoto import EXACT_TRACE_CAP, build_hashimoto
-from .percolation import (
-    PercolationConfig,
-    estimate_out_prob,
-    sweep,
-)
-from .spectral import compute_spectral_report, olg_strongly_connected
+from .hashimoto import build_hashimoto
+from .percolation import STAT_NAMES, PercolationConfig, estimate_out_prob, sweep
+from .spectral import compute_spectral_report
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,11 +113,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
     h = build_hashimoto(g)
     labeling = strongly_connected_components(g)
     sym_count = len(_symmetric_arcs(g)[0])
-    olg_sc, _ = olg_strongly_connected(h)
-    if sym_count * g.n <= ROBUST_CHECK_BUDGET:
-        robust = is_robustly_strongly_connected(g)
-    else:
-        robust = None
+    robust = is_robustly_strongly_connected(g) if sym_count * g.n <= ROBUST_CHECK_BUDGET else None
     sr = compute_spectral_report(g, h)
     br = compute_bounds_report(sr, h, p_grid)
     doc = {
@@ -134,7 +126,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
             "symmetric_pair_count": sym_count,
             "scc_count": labeling.count,
             "robustly_strongly_connected": robust,
-            "olg_strongly_connected": olg_sc,
+            "olg_strongly_connected": sr.olg_strongly_connected,
         },
         "spectral": {
             "rho_H": _fmt(sr.rho_H),
@@ -235,19 +227,15 @@ def cmd_simulate(args):
 
 def _simulate_csv(sr, estimates):
     out = io.StringIO()
-    out.write("p,trial,largest_scc,second_scc,largest_out,largest_in,giant_count\n")
+    out.write(",".join(("p", "trial") + STAT_NAMES) + "\n")
     for i, p in enumerate(sr.p_grid):
         for t in range(sr.trials):
-            row = [
-                repr(_fmt(p)), str(t),
-                *(str(sr.stats[name][i, t]) for name in
-                  ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")),
-            ]
+            row = [repr(_fmt(p)), str(t), *(str(sr.stats[name][i, t]) for name in STAT_NAMES)]
             out.write(",".join(row) + "\n")
     out.write("# summary\n")
     out.write("p,stat,mean,stderr\n")
     for i, p in enumerate(sr.p_grid):
-        for name in ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count"):
+        for name in STAT_NAMES:
             out.write(
                 f"{_fmt(p)!r},{name},{_fmt(float(sr.means[name][i]))!r},"
                 f"{_fmt(float(sr.stderrs[name][i]))!r}\n"
@@ -295,7 +283,7 @@ def cmd_bounds_check(args):
     sr = compute_spectral_report(g, h)
     roots = _parse_roots(args.roots, g.n) if args.roots else tuple(range(min(3, g.n)))
     census = None
-    if g.n <= VERTEX_CAP and 0 < g.n_arcs <= EXACT_TRACE_CAP:
+    if g.n <= VERTEX_CAP and g.n_arcs:  # n <= 16: at most 240 arcs, inside the trace cap
         census = enumerate_elementary_circuits(g)
     out = io.StringIO()
     out.write(

@@ -30,14 +30,14 @@ class CycleReport:
     sac_count_by_length: dict
 
 
-def enumerate_elementary_circuits(g, max_len=None, vertex_cap=VERTEX_CAP):
+def enumerate_elementary_circuits(g, max_len=None):
     """All elementary circuits of length <= max_len, each reported once.
 
     The circuit count explodes combinatorially, hence the hard vertex cap.
     """
-    if g.n > vertex_cap:
+    if g.n > VERTEX_CAP:
         raise CapExceededError(
-            f"circuit enumeration needs n <= {vertex_cap}, got {g.n}"
+            f"circuit enumeration needs n <= {VERTEX_CAP}, got {g.n}"
         )
     if max_len is None:
         max_len = g.n

@@ -181,12 +181,11 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
 
 
 def _worker_count():
-    raw = os.environ.get("NBPERC_THREADS", "")
     try:
-        w = int(raw)
+        w = int(os.environ.get("NBPERC_THREADS", ""))
     except ValueError:
-        w = 0
-    return max(1, w) if w > 0 else 1
+        return 1
+    return w if w > 0 else 1
 
 
 def sweep(g, config):

@@ -8,7 +8,8 @@ block primitive, which turns the bracket convergence geometric even on
 periodic structures like pure cycles; a block that power iteration cannot
 close (long cycles with few chords narrow at 1 - O(1/L^2) per step) is
 finished by shifted inverse iteration.  An acyclic (nilpotent) operator
-is detected structurally and reported as an exact zero.
+is detected structurally and reported as an exact zero.  One solve of H
+also yields OLG strong connectivity and the left Perron vector.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ class SpectralReport:
     rho_A: float
     norm_row: int
     norm_col: int
+    olg_strongly_connected: bool
     left_pf: np.ndarray | None
     gamma_L: float | None
     iterations: int
@@ -99,14 +101,18 @@ def _perron(k, src, dst, tol, max_iter):
     return lo, hi, x, it
 
 
-def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
-    """Perron-Frobenius spectral radius of a 0/1 nonnegative operator.
+def _smallest_block_member(labels, sizes):
+    """First member of the smallest block; None with at most one block."""
+    if len(sizes) <= 1:
+        return None
+    return int(np.flatnonzero(labels == int(np.argmin(sizes)))[0])
 
-    ``op`` is a DiGraph (adjacency action) or a HashimotoOperator.  A
-    block whose bracket is still wider than ``tol`` after ``max_iter``
-    power steps and INVERSE_STEPS inverse steps raises NonConvergenceError
-    carrying the certified bracket.
-    """
+
+def _solve(op, tol, max_iter):
+    """Label the blocks of ``op`` once and run _perron on each nontrivial
+    one; a bracket still wider than ``tol`` raises NonConvergenceError.
+    Returns (SpectralRadiusResult, a member of the smallest block or None,
+    the Perron vector when ``op`` is a single block else None)."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     dim, src, dst = _operator_pairs(op)
@@ -115,14 +121,9 @@ def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
     ncomp, labels = _scc_labels(dim, src, dst)
     sizes = np.bincount(labels, minlength=ncomp)
     nontrivial = np.flatnonzero(sizes > 1)
-    if len(nontrivial) == 0:
-        # No arcs, or every block is a singleton and there are no
-        # self-loops: the operator digraph is acyclic, hence nilpotent.
-        return SpectralRadiusResult(0.0, METHOD_NILPOTENT, 0.0, 0)
     best_lo = best_hi = 0.0
-    total_it = 0
-    converged = True
-    inverse = False
+    total_it, converged, inverse = 0, True, False
+    x = np.ones(1)  # the Perron vector of a one-element operator
     comp_src = labels[src]
     same = comp_src == labels[dst]
     for comp in nontrivial:
@@ -130,7 +131,7 @@ def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
         members = np.flatnonzero(labels == comp)
         local = np.full(dim, -1, dtype=np.int64)
         local[members] = np.arange(len(members))
-        lo, hi, _, it = _perron(
+        lo, hi, x, it = _perron(
             len(members), local[src[mask]], local[dst[mask]], tol, max_iter
         )
         total_it += it
@@ -143,8 +144,17 @@ def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
             f"spectral radius bracket did not converge: [{best_lo}, {best_hi}]",
             bracket=(best_lo, best_hi),
         )
-    method = METHOD_INVERSE if inverse else METHOD_POWER
-    return SpectralRadiusResult(0.5 * (best_lo + best_hi), method, best_hi - best_lo, total_it)
+    # No nontrivial block: no arcs, or singletons without self-loops, so
+    # the operator digraph is acyclic, hence nilpotent.
+    method = METHOD_INVERSE if inverse else METHOD_POWER if len(nontrivial) else METHOD_NILPOTENT
+    res = SpectralRadiusResult(0.5 * (best_lo + best_hi), method, best_hi - best_lo, total_it)
+    return res, _smallest_block_member(labels, sizes), x if ncomp == 1 else None
+
+
+def spectral_radius(op, tol=DEFAULT_TOL, max_iter=None):
+    """Perron-Frobenius spectral radius of a DiGraph (adjacency action) or
+    a HashimotoOperator; a bracket left open raises NonConvergenceError."""
+    return _solve(op, tol, max_iter)[0]
 
 
 def adjacency_spectral_radius(g, tol=DEFAULT_TOL, max_iter=None):
@@ -168,14 +178,9 @@ def induced_norms(h):
 def olg_strongly_connected(h):
     """Check strong connectivity of the oriented line graph; returns
     (flag, offending_arc_id or None)."""
-    if h.n_arcs == 0:
-        return True, None
     ncomp, labels = _scc_labels(h.n_arcs, h.pair_u, h.pair_v)
-    if ncomp == 1:
-        return True, None
-    sizes = np.bincount(labels, minlength=ncomp)
-    worst = int(np.argmin(sizes))
-    return False, int(np.flatnonzero(labels == worst)[0])
+    arc_id = _smallest_block_member(labels, np.bincount(labels, minlength=ncomp))
+    return arc_id is None, arc_id
 
 
 def left_perron_vector(h, tol=DEFAULT_TOL, max_iter=None):
@@ -193,35 +198,36 @@ def left_perron_vector(h, tol=DEFAULT_TOL, max_iter=None):
         )
     if h.n_arcs == 0:
         raise NotStronglyConnectedError("empty operator has no Perron vector")
-    if max_iter is None:
-        max_iter = 10 * h.n_arcs + 1000
-    lo, hi, xi, it = _perron(h.n_arcs, h.pair_u, h.pair_v, tol, max_iter)
-    residual = float(np.abs(h.apply(xi) - 0.5 * (lo + hi) * xi).sum())
-    if hi - lo >= tol or residual > tol:
+    res, _, xi = _solve(h, tol, max_iter)
+    return _checked_left_perron(h, res, xi, tol)
+
+
+def _checked_left_perron(h, res, xi, tol):
+    """xi and gamma_L from a solve of H, checked: |H xi - rho xi|_1 <= tol."""
+    if float(np.abs(h.apply(xi) - res.rho * xi).sum()) > tol:
         raise NonConvergenceError(
-            f"left Perron vector did not converge within {it} iterations",
-            bracket=(lo, hi),
+            f"left Perron vector did not converge within {res.iterations} iterations"
         )
     return xi, float(xi.max() / xi.min())
 
 
 def compute_spectral_report(g, h=None, tol=DEFAULT_TOL, max_iter=None):
-    """Full spectral summary: rho(H), rho(A), induced norms, and (when the
-    OLG is strongly connected) the left Perron vector and principal ratio."""
+    """Full spectral summary: rho(H), rho(A), induced norms, OLG strong
+    connectivity and, when it holds, left_pf and gamma_L; H solved once."""
     if h is None:
         h = build_hashimoto(g)
-    res_h = spectral_radius(h, tol=tol, max_iter=max_iter)
+    res_h, outside, xi = _solve(h, tol, max_iter)
     rho_a = adjacency_spectral_radius(g, tol=tol, max_iter=max_iter)
     norm_row, norm_col = induced_norms(h)
-    try:
-        left_pf, gamma = left_perron_vector(h, tol=tol, max_iter=max_iter)
-    except NotStronglyConnectedError:
-        left_pf = gamma = None
+    left_pf = gamma = None
+    if outside is None and h.n_arcs:
+        left_pf, gamma = _checked_left_perron(h, res_h, xi, tol)
     return SpectralReport(
         rho_H=res_h.rho,
         rho_A=rho_a,
         norm_row=norm_row,
         norm_col=norm_col,
+        olg_strongly_connected=outside is None,
         left_pf=left_pf,
         gamma_L=gamma,
         iterations=res_h.iterations,

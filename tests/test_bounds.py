@@ -231,8 +231,11 @@ class TestBoundsReport:
         assert br.sac_closed[0] == 0.0
         assert br.sac_trace[0] == 0.0
 
-    def test_trace_skipped_beyond_cap(self, k4sym):
-        h = build_hashimoto(k4sym)
-        sr = compute_spectral_report(k4sym, h)
-        br = compute_bounds_report(sr, h, [0.1], trace_cap=5)
+    def test_trace_skipped_beyond_cap(self):
+        # One arc above the cap: sac_bound_logdet refuses, the curve is void.
+        g = gen_cycle(EXACT_TRACE_CAP + 1)
+        h = build_hashimoto(g)
+        sr = compute_spectral_report(g, h)
+        br = compute_bounds_report(sr, h, [0.1])
         assert br.sac_trace == [None]
+        assert br.sac_closed[0] is not None

@@ -1,22 +1,32 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import eigs
 
 from nbperc import (
     DiGraph,
     adjacency_spectral_radius,
     build_hashimoto,
     compute_spectral_report,
+    gen_complete_sym,
+    gen_cycle,
     gen_erdos_renyi_digraph,
+    gen_path_sym,
     gen_random_regular_sym,
     gen_random_tree_sym,
+    gen_star_sym,
     induced_norms,
     left_perron_vector,
+    olg_strongly_connected,
     parse_edge_list,
     spectral_radius,
     symmetric_arc_pairs,
 )
+from nbperc import spectral
+from nbperc.cli import build_analysis_document
 from nbperc.errors import NonConvergenceError, NotStronglyConnectedError
 from nbperc.spectral import METHOD_INVERSE
 
@@ -95,6 +105,102 @@ class TestSpectralRadius:
         assert np.abs(h.apply(xi) - sr.rho_H * xi).sum() <= 1e-10
 
 
+    @pytest.mark.parametrize("operator", ["A", "H"])
+    def test_constant_bracket_width_plateau(self, operator):
+        # 80 x 80 torus with the edge (0,0)-(0,1) replaced by a path of 300
+        # new vertices.  For well over 100 power steps the bracket width is
+        # exactly constant: hi comes from torus vertices the perturbation
+        # has not reached, lo from the middle of the path.  The bracket
+        # still closes later, so a width that stops shrinking must not end
+        # the power steps.
+        side, length = 80, 300
+        i, j = np.divmod(np.arange(side * side), side)
+        right = i * side + (j + 1) % side
+        down = ((i + 1) % side) * side + j
+        u = np.concatenate([np.arange(side * side)] * 2)
+        v = np.concatenate([right, down])
+        keep = ~((u == 0) & (v == 1))
+        chain = np.concatenate([[0], side * side + np.arange(length), [1]])
+        u = np.concatenate([u[keep], chain[:-1]])
+        v = np.concatenate([v[keep], chain[1:]])
+        g = DiGraph.from_arrays(side * side + length, np.r_[u, v], np.r_[v, u])
+        if operator == "A":
+            op = g
+            mat = csr_matrix((np.ones(len(g.tails)), (g.tails, g.heads)), shape=(g.n, g.n))
+        else:
+            op = build_hashimoto(g)
+            mat = csr_matrix(
+                (np.ones(len(op.pair_u)), (op.pair_u, op.pair_v)), shape=(op.n_arcs,) * 2
+            )
+        want = float(eigs(mat, k=1, which="LR", return_eigenvectors=False)[0].real)
+        res = spectral_radius(op)
+        assert res.method == "power-shifted"
+        assert abs(res.rho - want) < 1e-8
+
+
+SINGLE_SOLVE_GRAPHS = {
+    "empty": DiGraph(3, []),
+    "one-arc": DiGraph(2, [(0, 1)]),
+    "2-cycle": DiGraph(2, [(0, 1), (1, 0)]),
+    "C3": gen_cycle(3),
+    "K4sym": gen_complete_sym(4),
+    "path": gen_path_sym(4),
+    "star": gen_star_sym(3),
+    "dag": DiGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    "chord4sym": parse_edge_list("0 1\n1 2\n2 3\n3 0\n0 2\n", undirected=True),
+    "cycle1000-chord": DiGraph(1000, [(i, (i + 1) % 1000) for i in range(1000)] + [(0, 501)]),
+}
+
+
+def _nontrivial_blocks(n, src, dst):
+    d = nx.DiGraph()
+    d.add_nodes_from(range(n))
+    d.add_edges_from(zip(src.tolist(), dst.tolist()))
+    return sum(len(c) > 1 for c in nx.strongly_connected_components(d))
+
+
+class TestSingleSolve:
+    """compute_spectral_report takes rho_H, the OLG flag, left_pf and
+    gamma_L from one solve of H, equal to the standalone entry points."""
+
+    @pytest.mark.parametrize("name", list(SINGLE_SOLVE_GRAPHS))
+    def test_matches_standalone_calls(self, name):
+        g = SINGLE_SOLVE_GRAPHS[name]
+        h = build_hashimoto(g)
+        sr = compute_spectral_report(g, h)
+        res = spectral_radius(h)
+        assert (sr.rho_H, sr.method, sr.iterations) == (res.rho, res.method, res.iterations)
+        assert sr.residual == res.residual
+        try:
+            xi, gamma = left_perron_vector(h)
+        except NotStronglyConnectedError:
+            assert sr.left_pf is None and sr.gamma_L is None
+        else:
+            assert np.array_equal(sr.left_pf, xi)
+            assert sr.gamma_L == gamma
+        flag = olg_strongly_connected(h)[0]
+        assert sr.olg_strongly_connected == flag
+        doc = build_analysis_document(g, [0.5])
+        assert doc["graph"]["olg_strongly_connected"] == flag
+
+    @pytest.mark.parametrize("name", list(SINGLE_SOLVE_GRAPHS))
+    def test_one_perron_call_per_nontrivial_block(self, name, monkeypatch):
+        g = SINGLE_SOLVE_GRAPHS[name]
+        h = build_hashimoto(g)
+        calls = []
+        perron = spectral._perron
+
+        def counting(*args):
+            calls.append(args[0])
+            return perron(*args)
+
+        monkeypatch.setattr(spectral, "_perron", counting)
+        compute_spectral_report(g, h)
+        want = (_nontrivial_blocks(h.n_arcs, h.pair_u, h.pair_v)
+                + _nontrivial_blocks(g.n, g.tails, g.heads))
+        assert len(calls) == want
+
+
 class TestAdjacency:
     def test_cycle(self, c3):
         assert abs(adjacency_spectral_radius(c3) - 1.0) < 1e-9
@@ -134,6 +240,18 @@ class TestLeftPerron:
         with pytest.raises(NotStronglyConnectedError) as exc:
             left_perron_vector(build_hashimoto(chord))
         assert exc.value.arc in chord.arcs
+
+    def test_reducible_rejected_before_solving(self, monkeypatch):
+        # Two directed triangles joined by one arc: H has two nontrivial
+        # blocks, and the error comes from the labelling, not a solve.
+        def no_solve(*args):
+            raise AssertionError("_perron ran on a reducible operator")
+
+        monkeypatch.setattr(spectral, "_perron", no_solve)
+        g = DiGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+        with pytest.raises(NotStronglyConnectedError) as exc:
+            left_perron_vector(build_hashimoto(g), tol=1e-300, max_iter=2)
+        assert exc.value.arc in g.arcs
 
     def test_eigen_residual_contract(self):
         tol = 1e-10
