@@ -331,29 +331,24 @@ def cmd_bounds_check(args):
     return EXIT_OK
 
 
+# gen family -> (generator, its (name, type) parameters, takes --seed)
+GEN_FAMILIES = {
+    "cycle": (gen_cycle, (("n", int),), False),
+    "complete": (gen_complete_sym, (("n", int),), False),
+    "path": (gen_path_sym, (("n", int),), False),
+    "star": (gen_star_sym, (("k", int),), False),
+    "regular": (gen_random_regular_sym, (("n", int), ("d", int)), True),
+    "er": (gen_erdos_renyi_digraph, (("n", int), ("arc_prob", float)), True),
+    "tree": (gen_random_tree_sym, (("n", int),), True),
+}
+
+
 def cmd_gen(args):
-    family = args.family
-    if family == "er":
-        if len(args.params) != 2:
-            raise ParseError("er needs <n> <arc_prob>")
-        g = gen_erdos_renyi_digraph(int(args.params[0]), float(args.params[1]), args.seed)
-        _write_output(serialize_edge_list(g), args.output)
-        return EXIT_OK
-    params = [int(x) for x in args.params]
-    if family == "cycle":
-        g = gen_cycle(*params)
-    elif family == "complete":
-        g = gen_complete_sym(*params)
-    elif family == "path":
-        g = gen_path_sym(*params)
-    elif family == "star":
-        g = gen_star_sym(*params)
-    elif family == "regular":
-        g = gen_random_regular_sym(*params, seed=args.seed)
-    elif family == "tree":
-        g = gen_random_tree_sym(*params, seed=args.seed)
-    else:
-        raise ParseError(f"unknown family {family!r}")
+    gen, spec, seeded = GEN_FAMILIES[args.family]
+    if len(args.params) != len(spec):
+        raise ParseError(f"{args.family} needs " + " ".join(f"<{name}>" for name, _ in spec))
+    params = [kind(text) for (_, kind), text in zip(spec, args.params)]
+    g = gen(*params, seed=args.seed) if seeded else gen(*params)
     _write_output(serialize_edge_list(g), args.output)
     return EXIT_OK
 
@@ -406,8 +401,7 @@ def _build_parser():
     pb.set_defaults(func=cmd_bounds_check)
 
     pg = sub.add_parser("gen", help="write a deterministic test-family edge list")
-    pg.add_argument("family",
-                    choices=("cycle", "complete", "path", "star", "regular", "er", "tree"))
+    pg.add_argument("family", choices=tuple(GEN_FAMILIES))
     pg.add_argument("params", nargs="+")
     pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("-o", "--output", default=None)

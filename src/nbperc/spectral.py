@@ -5,9 +5,13 @@ the strongly connected blocks of its digraph, so the engine decomposes
 into blocks first and runs shifted power iteration with a Collatz-
 Wielandt bracket on each irreducible block.  The shift (+I) makes every
 block primitive, which turns the bracket convergence geometric even on
-periodic structures like pure cycles; a block that power iteration cannot
-close (long cycles with few chords narrow at 1 - O(1/L^2) per step) is
-finished by shifted inverse iteration.  An acyclic (nilpotent) operator
+periodic structures like pure cycles.  A bracket the first step leaves
+open restarts the steps from ARPACK's estimate of the Perron vector when
+that estimate is positive (slow-mixing blocks such as lattices then close
+in a few steps); a block power iteration still cannot close (long cycles
+with few chords narrow at 1 - O(1/L^2) per step) is finished by shifted
+inverse iteration.  Whatever proposed the vector, every reported value is
+the bracket of a positive vector.  An acyclic (nilpotent) operator
 is detected structurally and reported as an exact zero.  One solve of H
 also yields OLG strong connectivity and the left Perron vector.
 """
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix, identity
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import NonConvergenceError, NotStronglyConnectedError
 from .graph import DiGraph, _scc_labels
@@ -25,6 +29,7 @@ from .hashimoto import HashimotoOperator, build_hashimoto
 
 DEFAULT_TOL = 1e-10
 INVERSE_STEPS = 32
+ARPACK_NCV = 12  # Arnoldi basis size: ARPACK keeps this many block-length vectors
 
 METHOD_POWER = "power-shifted"
 METHOD_INVERSE = "inverse-shifted"
@@ -64,12 +69,32 @@ def _operator_pairs(op):
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
+def _arpack_candidate(k, src, dst, x, max_iter):
+    """ARPACK's estimate |Re v| of the Perron vector of one block, started
+    from ``x`` with about ``max_iter`` matrix-vector products; None when
+    ARPACK fails or the estimate has a non-positive entry.  The fixed
+    ``rng`` draws the restart vector after a breakdown, so the estimate is
+    the same in every run."""
+    op = LinearOperator(
+        (k, k), matvec=lambda v: np.bincount(dst, weights=v[src], minlength=k), dtype=float
+    )
+    try:
+        v = eigs(op, k=1, which="LR", v0=x, ncv=min(ARPACK_NCV, k),
+                 maxiter=max(1, max_iter // ARPACK_NCV), tol=0, rng=0)[1]
+    except ArpackError:  # ArpackNoConvergence is a subclass
+        return None
+    v = np.abs(v[:, 0].real)
+    return v / v.sum() if (v > 0).all() else None
+
+
 def _perron(k, src, dst, tol, max_iter):
     """Certified Perron root bracket and vector of one irreducible block.
 
     Collatz-Wielandt: for positive x and (Bx)_v = sum of x_u over the
     pairs u -> v,  min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i.
-    Up to ``max_iter`` shifted power steps x <- (B + I)x, then, while the
+    Up to ``max_iter`` shifted power steps x <- (B + I)x, the first one
+    from the uniform vector and the rest, if it leaves the bracket open,
+    from ARPACK's positive estimate when there is one; then, while the
     bracket is wider than ``tol``, up to INVERSE_STEPS solves
     x <- (sigma I - B)^-1 x, sigma = hi + (hi - lo) > rho: that inverse,
     sum_j B^j / sigma^(j+1), is positive with B's Perron vector, so x
@@ -84,6 +109,9 @@ def _perron(k, src, dst, tol, max_iter):
         x = y / y.sum()
         if hi - lo < tol:
             return lo, hi, x, it
+        if it == 1 and k > 2:  # ARPACK needs dim >= 3 for one eigenpair
+            cand = _arpack_candidate(k, src, dst, x, max_iter)
+            x = x if cand is None else cand
     b = csc_matrix((np.ones(len(src)), (dst, src)), shape=(k, k))
     eye = identity(k, format="csc")
     for it in range(max_iter + 1, max_iter + INVERSE_STEPS + 1):

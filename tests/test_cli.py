@@ -38,6 +38,17 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["cycle", "3", "4"], "cycle needs <n>"),
+        (["regular", "10"], "regular needs <n> <d>"),
+        (["er", "10"], "er needs <n> <arc_prob>"),
+    ])
+    def test_wrong_parameter_count_exits_2(self, argv, usage, capsys):
+        code, out, err = run_cli(["gen", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"nbperc: error: {usage}\n"
+
     def test_er_file(self, capsys):
         code, out, _ = run_cli(["gen", "er", "10", "0.3", "--seed", "1"], capsys)
         assert code == 0

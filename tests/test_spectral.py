@@ -1,10 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import eigs
+from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
 from nbperc import (
     DiGraph,
@@ -22,13 +27,14 @@ from nbperc import (
     left_perron_vector,
     olg_strongly_connected,
     parse_edge_list,
+    serialize_edge_list,
     spectral_radius,
     symmetric_arc_pairs,
 )
 from nbperc import spectral
 from nbperc.cli import build_analysis_document
 from nbperc.errors import NonConvergenceError, NotStronglyConnectedError
-from nbperc.spectral import METHOD_INVERSE
+from nbperc.spectral import DEFAULT_TOL, METHOD_INVERSE
 
 from conftest import dense_adjacency, dense_hashimoto, dense_rho
 
@@ -70,12 +76,13 @@ class TestSpectralRadius:
     CHORD4 = "0 1\n1 2\n2 3\n3 0\n0 2\n"
 
     def test_stalled_bracket_closed_by_inverse_steps(self):
-        # Symmetrized 4-cycle with the chord 0-2: two power steps leave a
-        # bracket whose midpoint (1.5) lies below rho = 1.52138...
+        # Symmetrized 4-cycle with the chord 0-2: one power step leaves an
+        # open bracket, and max_iter=1 ends the power steps right after
+        # the ARPACK candidate, so the inverse steps must close it.
         g = parse_edge_list(self.CHORD4, undirected=True)
         true_rho = dense_rho(dense_hashimoto(g))
         assert true_rho == pytest.approx(1.52138, abs=1e-5)
-        res = spectral_radius(build_hashimoto(g), max_iter=2)
+        res = spectral_radius(build_hashimoto(g), max_iter=1)
         assert res.method == METHOD_INVERSE
         assert res.residual < 1e-10
         assert abs(res.rho - true_rho) < 1e-9
@@ -136,6 +143,120 @@ class TestSpectralRadius:
         res = spectral_radius(op)
         assert res.method == "power-shifted"
         assert abs(res.rho - want) < 1e-8
+
+
+def _grid(side):
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return DiGraph.from_arrays(side * side, np.r_[u, v], np.r_[v, u])
+
+
+def _counting_eigs(monkeypatch, fake=None):
+    """Replace spectral.eigs by ``fake`` (default: the real one) and
+    return the list its calls are recorded in."""
+    calls = []
+    real = spectral.eigs
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0].shape)
+        return (fake or real)(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigs", wrapper)
+    return calls
+
+
+class TestArpackCandidate:
+    """ARPACK only proposes the starting vector; _perron certifies it, and
+    a failed or non-positive proposal leaves the power steps as they were."""
+
+    @staticmethod
+    def _uncandidated(op, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_arpack_candidate", lambda *args: None)
+            return spectral_radius(op)
+
+    @pytest.mark.parametrize("failure", ["no-convergence", "zero-entry"])
+    @pytest.mark.parametrize("operator", ["A", "H"])
+    def test_failed_candidate_keeps_power_steps(self, failure, operator, monkeypatch):
+        g = _grid(8)
+        op = g if operator == "A" else build_hashimoto(g)
+        want = self._uncandidated(op, monkeypatch)
+
+        def fake(a, **kwargs):
+            if failure == "no-convergence":
+                raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
+            v = np.ones((a.shape[0], 1), dtype=complex)
+            v[3] = 0.0
+            return np.ones(1, dtype=complex), v
+
+        calls = _counting_eigs(monkeypatch, fake)
+        res = spectral_radius(op)
+        assert len(calls) == 1
+        assert res == want
+        assert res.iterations > 10
+        mat = dense_adjacency(g) if operator == "A" else dense_hashimoto(g)
+        assert abs(res.rho - dense_rho(mat)) < 1e-9
+
+    @pytest.mark.parametrize("operator", ["A", "H"])
+    def test_candidate_closes_grid_bracket(self, operator, monkeypatch):
+        g = _grid(8)
+        op = g if operator == "A" else build_hashimoto(g)
+        calls = _counting_eigs(monkeypatch)
+        res = spectral_radius(op)
+        assert len(calls) == 1
+        assert res.iterations <= 10
+        assert res.residual < DEFAULT_TOL
+        mat = dense_adjacency(g) if operator == "A" else dense_hashimoto(g)
+        assert abs(res.rho - dense_rho(mat)) < 1e-9
+
+    def test_regular_graph_never_calls_arpack(self, monkeypatch):
+        # Regular graphs close at the first step from the uniform vector,
+        # so the expander and validate inputs never reach ARPACK.
+        g = gen_random_regular_sym(100, 3, 1)
+        calls = _counting_eigs(monkeypatch)
+        assert spectral_radius(build_hashimoto(g)).iterations == 1
+        assert spectral_radius(g).iterations == 1
+        compute_spectral_report(g)
+        assert calls == []
+
+    def test_star_adjacency_closes_at_once(self):
+        # The bracket of the 2,499-leaf star's rho_A sits at its rounding
+        # floor under plain power steps; from the candidate it closes.
+        res = spectral_radius(gen_star_sym(2499))
+        assert abs(res.rho - math.sqrt(2499)) < 1e-9
+        assert res.iterations <= 10
+
+
+class TestDeterminism:
+    def test_repeated_reports_bitwise_equal(self):
+        g = _grid(80)
+        h = build_hashimoto(g)
+        a, b = compute_spectral_report(g, h), compute_spectral_report(g, h)
+        assert a.rho_H == b.rho_H and a.rho_A == b.rho_A
+        assert np.array_equal(a.left_pf, b.left_pf)
+
+    def test_blas_thread_count_stays_inside_tol(self, tmp_path):
+        # 120 x 120 is large enough for OpenBLAS to thread the Arnoldi
+        # products; the last digits may move, but within the certified tol.
+        path = tmp_path / "grid.txt"
+        g = _grid(120)
+        path.write_text(serialize_edge_list(g))
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        rhos = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run(
+                [sys.executable, "-m", "nbperc.cli", "analyze", str(path), "--p", "0.1"],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            spec = json.loads(out)["spectral"]
+            rhos.append((spec["rho_H"], spec["rho_A"]))
+        (h1, a1), (h2, a2) = rhos
+        assert abs(h1 - h2) < DEFAULT_TOL and abs(a1 - a2) < DEFAULT_TOL
 
 
 SINGLE_SOLVE_GRAPHS = {
