@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapExceededError
+from .graph import _split
 from .hashimoto import EXACT_TRACE_CAP, trace_power
 
 VERTEX_CAP = 16
@@ -41,7 +44,8 @@ def enumerate_elementary_circuits(g, max_len=None):
         )
     if max_len is None:
         max_len = g.n
-    neighbors = [sorted(heads) for heads in g.out_heads]
+    order = np.lexsort((g.heads, g.tails))
+    neighbors = _split(g.heads[order].tolist(), g.out_ptr)
     circuits = []
     path = []
     on_path = [False] * g.n

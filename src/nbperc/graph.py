@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,8 +30,8 @@ class DiGraph:
             out_order[out_ptr[v]:out_ptr[v + 1]], in arc-id order
             (out_order is a stable argsort of tails).
 
-    ``arcs``, ``arc_index``, ``out_adj``, ``in_adj`` and ``out_heads`` are
-    Python-object views derived from the arrays on first use.
+    These arrays are the whole representation; callers that walk the
+    graph slice them.
     """
 
     def __init__(self, n, arcs):
@@ -88,44 +87,8 @@ class DiGraph:
     def n_arcs(self):
         return len(self.tails)
 
-    @cached_property
-    def arcs(self):
-        """Tuple of (tail, head) pairs; position is the arc id."""
-        return tuple(zip(self.tails.tolist(), self.heads.tolist()))
-
-    @cached_property
-    def arc_index(self):
-        """dict (tail, head) -> arc id."""
-        return dict(zip(self.arcs, range(self.n_arcs)))
-
-    @cached_property
-    def out_adj(self):
-        """Per-vertex lists of the ids of the arcs leaving v, in arc-id order."""
-        return _split(self.out_order.tolist(), self.out_ptr)
-
-    @cached_property
-    def in_adj(self):
-        """Per-vertex lists of the ids of the arcs entering v, in arc-id order."""
-        in_order = np.argsort(self.heads, kind="stable")
-        return _split(in_order.tolist(), _offsets(self.heads, self.n))
-
-    @cached_property
-    def out_heads(self):
-        """Per-vertex lists of out-neighbours, in arc-id order."""
-        return _split(self.heads[self.out_order].tolist(), self.out_ptr)
-
-    def out_neighbors(self, v):
-        """Heads of the arcs leaving v, in arc-id order."""
-        return list(self.out_heads[v])
-
     def out_degree(self, v):
         return int(self.out_ptr[v + 1] - self.out_ptr[v])
-
-    def in_degree(self, v):
-        return len(self.in_adj[v])
-
-    def has_arc(self, t, h):
-        return (t, h) in self.arc_index
 
     def __eq__(self, other):
         return (isinstance(other, DiGraph) and self.n == other.n

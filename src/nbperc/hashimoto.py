@@ -7,8 +7,6 @@ serves both roles.
 """
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
@@ -21,8 +19,7 @@ class HashimotoOperator:
     """Matrix-free non-backtracking operator of a simple digraph.
 
     ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
-    int64 arrays, ordered by u then by v's arc id; ``succ`` is the same
-    data as per-arc tuples, derived on first use.
+    int64 arrays, ordered by u then by v's arc id.
     """
 
     def __init__(self, graph, pair_u, pair_v):
@@ -34,12 +31,6 @@ class HashimotoOperator:
     @property
     def dim(self):
         return self.n_arcs
-
-    @cached_property
-    def succ(self):
-        """Per-arc tuples of successor arc ids, in arc-id order."""
-        ptr = _offsets(self.pair_u, self.n_arcs)
-        return [tuple(s) for s in _split(self.pair_v.tolist(), ptr)]
 
     def apply(self, x):
         """y_v = sum over u with v following u of x_u (forward transition)."""
@@ -91,7 +82,7 @@ def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):
         raise CapExceededError(
             f"exact trace needs n_arcs <= {cap}, got {h.n_arcs}"
         )
-    succ = h.succ
+    succ = _split(h.pair_v.tolist(), _offsets(h.pair_u, h.n_arcs))
     traces = [0] * (s_max + 1)
     for e0 in range(h.n_arcs):
         vec = {e0: 1}

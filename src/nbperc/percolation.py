@@ -21,6 +21,10 @@ from .errors import NoCrossingError
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
+# Uniforms drawn per block by estimate_out_prob: bounds its memory at a
+# few MB whatever the trial count and graph size.
+OUT_PROB_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class PercolationConfig:
@@ -181,11 +185,14 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
 
 
 def _worker_count():
+    """NBPERC_THREADS, capped at the CPU count: the executor starts up to
+    that many threads, one per submitted trial, and threads beyond the
+    cores add no parallelism."""
     try:
         w = int(os.environ.get("NBPERC_THREADS", ""))
     except ValueError:
         return 1
-    return w if w > 0 else 1
+    return min(w, os.cpu_count() or 1) if w > 0 else 1
 
 
 def sweep(g, config):
@@ -249,12 +256,15 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     if m_max < 1 or trials < 1:
         raise ValueError("m_max and trials must be >= 1")
     rng = trial_rng(seed, v)
-    neighbors = g.out_heads
+    heads, ptr = g.heads[g.out_order], g.out_ptr
+    neighbors = {}  # out-neighbour lists of the vertices searched so far
     size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
-    chunk = 20000
+    # Generator.random fills row by row, so the block size leaves the
+    # draws, and every P-hat, unchanged.
+    rows = max(1, OUT_PROB_BLOCK // max(g.n, 1))
     remaining = trials
     while remaining > 0:
-        batch = min(chunk, remaining)
+        batch = min(rows, remaining)
         remaining -= batch
         opens = rng.random((batch, g.n)) < p
         root_open = np.flatnonzero(opens[:, v])
@@ -265,7 +275,10 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
             count = 1
             while stack and count < m_max:
                 u = stack.pop()
-                for w in neighbors[u]:
+                succ = neighbors.get(u)
+                if succ is None:
+                    succ = neighbors[u] = heads[ptr[u]:ptr[u + 1]].tolist()
+                for w in succ:
                     if w not in seen and row[w]:
                         seen.add(w)
                         count += 1

@@ -36,12 +36,18 @@ def chord():
     return DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
 
 
+def arc_pairs(g):
+    """(tail, head) per arc, in arc-id order, read from the arc arrays."""
+    return list(zip(g.tails.tolist(), g.heads.tolist()))
+
+
 def dense_hashimoto(g):
     """Dense 0/1 non-backtracking matrix built straight from the rule."""
     m = g.n_arcs
     mat = np.zeros((m, m))
-    for u, (i, j) in enumerate(g.arcs):
-        for v, (jp, l) in enumerate(g.arcs):
+    arcs = arc_pairs(g)
+    for u, (i, j) in enumerate(arcs):
+        for v, (jp, l) in enumerate(arcs):
             if jp == j and l != i:
                 mat[u, v] = 1.0
     return mat
@@ -49,7 +55,7 @@ def dense_hashimoto(g):
 
 def dense_adjacency(g):
     mat = np.zeros((g.n, g.n))
-    for t, h in g.arcs:
+    for t, h in arc_pairs(g):
         mat[t, h] = 1.0
     return mat
 
@@ -63,7 +69,7 @@ def dense_rho(mat):
 def reachability_closure(g):
     """Boolean transitive closure (with self-reachability)."""
     reach = np.eye(g.n, dtype=bool)
-    for t, h in g.arcs:
+    for t, h in arc_pairs(g):
         reach[t, h] = True
     for _ in range(g.n):
         new = reach | (reach @ reach)
@@ -83,7 +89,7 @@ def brute_scc_partition(g):
 def brute_closed_nb_walks(g, s):
     """Count closed non-backtracking walks of length s by enumerating arc
     sequences directly from the graph (no operator involved)."""
-    arcs = g.arcs
+    arcs = arc_pairs(g)
     m = len(arcs)
 
     def count_from(start, current, steps):

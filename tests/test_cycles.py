@@ -12,6 +12,8 @@ from nbperc import (
 )
 from nbperc.errors import CapExceededError
 
+from conftest import arc_pairs
+
 
 class TestEnumeration:
     def test_cycle_single_circuit(self, c3):
@@ -52,7 +54,7 @@ class TestEnumeration:
             g = gen_erdos_renyi_digraph(8, 0.3, seed)
             d = nx.DiGraph()
             d.add_nodes_from(range(g.n))
-            d.add_edges_from(g.arcs)
+            d.add_edges_from(arc_pairs(g))
             expected = {
                 tuple(c[c.index(min(c)):] + c[:c.index(min(c))])
                 for c in nx.simple_cycles(d)

@@ -5,6 +5,7 @@ import pytest
 
 from nbperc import (
     DiGraph,
+    build_hashimoto,
     gen_erdos_renyi_digraph,
     induced_subgraph,
     is_robustly_strongly_connected,
@@ -15,18 +16,18 @@ from nbperc import (
 )
 from nbperc.errors import GraphStructureError, ParseError
 
-from conftest import brute_scc_partition
+from conftest import arc_pairs, brute_scc_partition
 
 
 class TestParse:
     def test_directed_transcription(self):
         g = parse_edge_list("0 1\n1 2\n2 0")
         assert g.n == 3
-        assert g.arcs == ((0, 1), (1, 2), (2, 0))
+        assert arc_pairs(g) == [(0, 1), (1, 2), (2, 0)]
 
     def test_undirected_symmetrization(self):
         g = parse_edge_list("0 1\n1 2", undirected=True)
-        assert g.arcs == ((0, 1), (1, 0), (1, 2), (2, 1))
+        assert arc_pairs(g) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(ParseError) as exc:
@@ -53,19 +54,19 @@ class TestParse:
 
     def test_comments_ignored(self):
         g = parse_edge_list("# a comment\n0 1\n\n# another\n1 0")
-        assert g.arcs == ((0, 1), (1, 0))
+        assert arc_pairs(g) == [(0, 1), (1, 0)]
 
     def test_roundtrip(self):
         for seed in range(5):
             g = gen_erdos_renyi_digraph(12, 0.2, seed)
             g2 = parse_edge_list(serialize_edge_list(g))
             assert g2.n == g.n
-            assert g2.arcs == g.arcs
+            assert arc_pairs(g2) == arc_pairs(g)
 
     def test_int_tokens_and_line_breaks_as_python_reads_them(self):
         g = parse_edge_list("0 1\r\n+2\t1_0\x0b\u0663 0\r\n\n  #n 12  ")
         assert g.n == 12
-        assert g.arcs == ((0, 1), (2, 10), (3, 0))
+        assert arc_pairs(g) == [(0, 1), (2, 10), (3, 0)]
         with pytest.raises(ParseError) as exc:
             parse_edge_list("0 1\r\n1 2\r0 x")
         assert exc.value.line == 3
@@ -114,7 +115,7 @@ def test_bulk_parse_matches_line_by_line_reading():
         g = parse_edge_list(text, undirected=undirected)
         max_id = max((max(a) for a in arcs), default=-1)
         assert g.n == (max_id + 1 if declared_n is None else declared_n)
-        assert g.arcs == tuple(arcs)
+        assert arc_pairs(g) == arcs
 
 
 # (text, undirected, exact message, line); the message carries the line.
@@ -168,13 +169,18 @@ class TestDiGraph:
 
     def test_from_arrays_equals_pairs(self, chord):
         g = DiGraph.from_arrays(chord.n, chord.tails, chord.heads)
-        assert g == chord and g.arcs == chord.arcs
+        assert g == chord and arc_pairs(g) == arc_pairs(chord)
 
-    def test_adjacency_indexing(self, c3):
-        assert c3.out_adj[0] == [0]
-        assert c3.in_adj[0] == [2]
-        assert c3.arc_index[(1, 2)] == 1
-        assert c3.out_neighbors(1) == [2]
+    def test_out_csr_and_transitions(self, c3, chord):
+        # The arcs leaving v are out_order[out_ptr[v]:out_ptr[v + 1]], in
+        # arc-id order.
+        assert c3.out_ptr.tolist() == [0, 1, 2, 3]
+        assert c3.out_order.tolist() == [0, 1, 2]
+        assert chord.out_ptr.tolist() == [0, 2, 3, 4]
+        assert chord.out_order.tolist() == [0, 3, 1, 2]
+        h = build_hashimoto(c3)
+        assert h.pair_u.tolist() == [0, 1, 2]
+        assert h.pair_v.tolist() == [1, 2, 0]
 
 
 class TestComponents:
@@ -199,7 +205,7 @@ class TestComponents:
             g = gen_erdos_renyi_digraph(10, 0.15, seed)
             lab = strongly_connected_components(g)
             pos = {c: i for i, c in enumerate(lab.condensation_order)}
-            for t, h in g.arcs:
+            for t, h in arc_pairs(g):
                 ct, ch = int(lab.component_id[t]), int(lab.component_id[h])
                 if ct != ch:
                     assert pos[ct] < pos[ch]
@@ -225,7 +231,7 @@ class TestInduced:
     def test_remap(self, c3):
         sub, kept = induced_subgraph(c3, {0, 2})
         assert kept == [0, 2]
-        assert sub.arcs == ((1, 0),)  # old (2, 0) after dense relabel
+        assert arc_pairs(sub) == [(1, 0)]  # old (2, 0) after dense relabel
 
     def test_empty(self, k4sym):
         sub, kept = induced_subgraph(k4sym, set())
@@ -239,15 +245,17 @@ class TestSymmetricPairs:
     def test_path_pairs(self, p3sym):
         pairs = symmetric_arc_pairs(p3sym)
         assert len(pairs) == 2
+        arcs = arc_pairs(p3sym)
         for a, b in pairs:
-            t, h = p3sym.arcs[a]
-            assert p3sym.arcs[b] == (h, t)
+            t, h = arcs[a]
+            assert arcs[b] == (h, t)
 
     def test_chord_single_pair(self, chord):
         pairs = symmetric_arc_pairs(chord)
         assert len(pairs) == 1
         a, b = pairs[0]
-        assert {chord.arcs[a], chord.arcs[b]} == {(0, 2), (2, 0)}
+        arcs = arc_pairs(chord)
+        assert {arcs[a], arcs[b]} == {(0, 2), (2, 0)}
 
 
 class TestRobustStrongConnectivity:
@@ -277,11 +285,12 @@ def _nx_robust(g):
         d.add_edges_from(arcs)
         return nx.is_strongly_connected(d)
 
-    if not sc(g.arcs):
+    all_arcs = arc_pairs(g)
+    if not sc(all_arcs):
         return False
-    for aid, (t, h) in enumerate(g.arcs):
-        if (h, t) in g.arc_index:
-            arcs = [a for i, a in enumerate(g.arcs) if i != aid]
+    for aid, (t, h) in enumerate(all_arcs):
+        if (h, t) in all_arcs:
+            arcs = [a for i, a in enumerate(all_arcs) if i != aid]
             if not sc(arcs):
                 return False
     return True

@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from nbperc import (
     estimate_threshold,
     gen_complete_sym,
     gen_erdos_renyi_digraph,
+    gen_random_regular_sym,
     induced_subgraph,
     measure_components,
     multiplicity_probe,
@@ -16,6 +20,7 @@ from nbperc import (
     sweep,
     trial_rng,
 )
+from nbperc import percolation
 from nbperc.errors import NoCrossingError
 from nbperc.percolation import STAT_NAMES, _measure
 
@@ -101,6 +106,49 @@ class TestOutProb:
         est = estimate_out_prob(g, 0, 0.4, 10, 5000, 3)
         assert (np.diff(est.p_hat) <= 1e-12).all()
 
+    def test_matches_reachability_oracle(self):
+        # Replay each trial's draws and count the open vertices reachable
+        # from the root by boolean closure on the open-open arcs.
+        from conftest import reachability_closure
+
+        m_max, trials, seed = 5, 300, 11
+        for s in range(5):
+            g = gen_erdos_renyi_digraph(12, 0.2, s)
+            for v in (0, 7):
+                for p in (0.3, 0.6, 0.9):
+                    opens = trial_rng(seed, v).random((trials, g.n)) < p
+                    sizes = []
+                    for row in opens:
+                        if not row[v]:
+                            sizes.append(0)
+                            continue
+                        keep = row[g.tails] & row[g.heads]
+                        sub = DiGraph.from_arrays(g.n, g.tails[keep], g.heads[keep])
+                        sizes.append(min(int(reachability_closure(sub)[v].sum()), m_max))
+                    expected = [sum(k >= m for k in sizes) / trials for m in range(1, m_max + 1)]
+                    est = estimate_out_prob(g, v, p, m_max, trials, seed)
+                    assert est.p_hat.tolist() == expected
+
+    def test_block_size_leaves_estimate_unchanged(self, monkeypatch):
+        g = gen_erdos_renyi_digraph(30, 0.1, 0)
+        default = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
+        for block in (1, 77):  # one row per block; two rows per block
+            monkeypatch.setattr(percolation, "OUT_PROB_BLOCK", block)
+            est = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
+            assert est.p_hat.tolist() == default.p_hat.tolist()
+
+    def test_draw_memory_is_bounded(self):
+        # 20,000 trials on 2,000 vertices would be 320 MB of uniforms in
+        # one draw.
+        g = gen_random_regular_sym(2000, 3, 1)
+        tracemalloc.start()
+        try:
+            estimate_out_prob(g, 0, 0.4, 20, 20000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestSweep:
     def test_trivial_full(self, c3):
@@ -119,6 +167,34 @@ class TestSweep:
         a = sweep(k4sym, config)
         monkeypatch.setenv("NBPERC_THREADS", "4")
         b = sweep(k4sym, config)
+        for name in STAT_NAMES:
+            assert (a.stats[name] == b.stats[name]).all()
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, k4sym):
+        # The fake pool maps serially, so no thread starts at any count.
+        recorded = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        config = PercolationConfig(p_grid=(0.2, 0.6), trials=8, master_seed=99)
+        monkeypatch.setenv("NBPERC_THREADS", "1")
+        a = sweep(k4sym, config)
+        monkeypatch.setattr(percolation, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setenv("NBPERC_THREADS", "1000000")
+        b = sweep(k4sym, config)
+        cpus = os.cpu_count() or 1
+        assert recorded == ([cpus] if cpus > 1 else [])
         for name in STAT_NAMES:
             assert (a.stats[name] == b.stats[name]).all()
 
