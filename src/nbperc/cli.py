@@ -296,8 +296,8 @@ def cmd_bounds_check(args):
         except BoundDomainError:
             t1 = None
         max_mp = 0.0
-        verdict = "void"
-        if t1 is not None:
+        verdict = "void"  # no bound, or no root to test it on
+        if t1 is not None and roots:
             worst = 0.0
             ok = True
             for v in roots:

@@ -248,44 +248,58 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     """Monte-Carlo estimate of P(v open and >= m open vertices reachable
     from v), for m = 1..m_max, with binomial standard errors.
 
-    The per-trial reachable count is capped at m_max, which leaves every
-    reported P-hat exact and keeps the search O(m_max) per trial.
+    One search advances all trials of a draw block together, a round of
+    array operations at a time.  A round scans, per reached vertex, at most
+    as many out-arcs as its trial still lacks vertices, and a trial stops at
+    m_max: its count is min(reach size, m_max), which leaves every P-hat
+    exact.  A block holds at most OUT_PROB_BLOCK draws, and a round scans at
+    most OUT_PROB_BLOCK arcs, unless one trial alone needs more.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0,1]")
     if m_max < 1 or trials < 1:
         raise ValueError("m_max and trials must be >= 1")
     rng = trial_rng(seed, v)
+    n = g.n
     heads, ptr = g.heads[g.out_order], g.out_ptr
-    neighbors = {}  # out-neighbour lists of the vertices searched so far
     size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
+    # A round scans the arcs of at most m_max - 1 distinct vertices per trial.
+    widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
-    rows = max(1, OUT_PROB_BLOCK // max(g.n, 1))
+    rows = max(1, OUT_PROB_BLOCK // max(n, widest, 1))
+    stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
     while remaining > 0:
         batch = min(rows, remaining)
         remaining -= batch
-        opens = rng.random((batch, g.n)) < p
-        root_open = np.flatnonzero(opens[:, v])
-        for t in root_open:
-            row = opens[t]
-            seen = {v}
-            stack = [v]
-            count = 1
-            while stack and count < m_max:
-                u = stack.pop()
-                succ = neighbors.get(u)
-                if succ is None:
-                    succ = neighbors[u] = heads[ptr[u]:ptr[u + 1]].tolist()
-                for w in succ:
-                    if w not in seen and row[w]:
-                        seen.add(w)
-                        count += 1
-                        if count >= m_max:
-                            break
-                        stack.append(w)
-            size_hist[count] += 1
+        opens = rng.random((batch, n)) < p
+        count = opens[:, v].astype(np.int64)
+        free = opens.ravel()  # open and not yet reached; keys are t*n + u
+        key = np.flatnonzero(count) * n + v  # reached vertices with arcs to scan
+        nxt = np.full(key.size, ptr[v])  # the next arc each of them scans
+        free[key] = False
+        while True:
+            t, u = np.divmod(key, n)
+            short = m_max - count[t]
+            left = ptr[u + 1] - nxt
+            live = (short > 0) & (left > 0)
+            if not live.any():
+                break
+            key, u, nxt = key[live], u[live], nxt[live]
+            d = np.minimum(left[live], short[live])
+            ends = np.cumsum(d)
+            arcs = np.arange(ends[-1]) + np.repeat(nxt - ends + d, d)
+            new = np.repeat(key - u, d) + heads[arcs]
+            new = new[free[new]]
+            order = np.arange(new.size)
+            stamp[new] = order
+            new = new[stamp[new] == order]
+            free[new] = False
+            count += np.bincount(new // n, minlength=batch)
+            key = np.concatenate((key, new))
+            nxt = np.concatenate((nxt + d, ptr[new % n]))
+        size_hist += np.bincount(np.minimum(count, m_max), minlength=m_max + 1)
     # P-hat_m = fraction of trials with capped size >= m.
     at_least = np.cumsum(size_hist[::-1])[::-1]
     m_values = np.arange(1, m_max + 1)

@@ -1,13 +1,15 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the production code paths: dense
-eigensolves go through numpy, reachability through boolean closure, and
-walk counts through explicit enumeration over arc sequences.
+eigensolves go through numpy, reachability through boolean closure, walk
+counts through explicit enumeration over arc sequences, and out-component
+probabilities through one capped depth-first search per trial.
 """
 import numpy as np
 import pytest
 
 from nbperc import DiGraph, gen_complete_sym, gen_cycle, gen_path_sym, gen_star_sym
+from nbperc.percolation import trial_rng
 
 
 @pytest.fixture
@@ -104,3 +106,35 @@ def brute_closed_nb_walks(g, s):
         return total
 
     return sum(count_from(e, e, s) for e in range(m))
+
+
+def capped_dfs_out_prob(g, v, p, m_max, trials, seed):
+    """(p_hat, stderr) of estimate_out_prob, by one depth-first search per
+    trial that stops once m_max open vertices are reached.
+
+    All trials are drawn in one block: Generator.random fills row by row,
+    so this is the same stream estimate_out_prob draws in blocks.
+    """
+    opens = trial_rng(seed, v).random((trials, g.n)) < p
+    heads, ptr = g.heads[g.out_order], g.out_ptr
+    size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
+    for row in opens:
+        if not row[v]:
+            size_hist[0] += 1
+            continue
+        seen = {v}
+        stack = [v]
+        count = 1
+        while stack and count < m_max:
+            u = stack.pop()
+            for w in heads[ptr[u]:ptr[u + 1]].tolist():
+                if w not in seen and row[w]:
+                    seen.add(w)
+                    count += 1
+                    if count >= m_max:
+                        break
+                    stack.append(w)
+        size_hist[count] += 1
+    at_least = np.cumsum(size_hist[::-1])[::-1]
+    p_hat = at_least[1:] / trials
+    return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -173,6 +174,14 @@ class TestBoundsCheck:
         row = out.splitlines()[1]
         assert "void" in row
 
+    def test_no_roots_is_void(self, tmp_path, capsys):
+        # An empty graph has no root to test the bound on.
+        path = tmp_path / "empty.txt"
+        path.write_text("#n 0\n")
+        code, out, _ = run_cli(["bounds-check", str(path), "--p", "0.3"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "0.3,1.0,0.0,void,,,,"
+
     def test_root_out_of_range(self, c3_file, capsys):
         code, out, err = run_cli(
             ["bounds-check", c3_file, "--p", "0.3", "--roots", "7"], capsys
@@ -180,6 +189,35 @@ class TestBoundsCheck:
         assert code == 2
         assert out == ""
         assert "root 7 outside 0..2" in err
+
+
+class TestGoldenBytes:
+    """sha256 of Monte-Carlo outputs, pinned so that a refactor of the
+    search or of the draws cannot change a byte unnoticed."""
+
+    @staticmethod
+    def digest(tmp_path, gen_args, command, capsys):
+        path = str(tmp_path / "g.txt")
+        assert run_cli(["gen", *gen_args, "-o", path], capsys)[0] == 0
+        code, out, _ = run_cli([command[0], path, *command[1:]], capsys)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_bounds_check_digest(self, tmp_path, capsys):
+        # 30,000 trials on 16 vertices span two draw blocks.
+        assert self.digest(
+            tmp_path, ["regular", "16", "3", "--seed", "4"],
+            ["bounds-check", "--p", "0.1,0.3,0.45", "--trials", "30000", "--seed", "2"],
+            capsys,
+        ) == "76703c079d4bdd99aff2fcc27334e03abad1b7a6fffeaccd7ce63bfaf5e6f41e"
+
+    def test_simulate_digest(self, tmp_path, capsys):
+        assert self.digest(
+            tmp_path, ["regular", "200", "3", "--seed", "1"],
+            ["simulate", "--p-min", "0.3", "--p-max", "0.7", "--steps", "3",
+             "--trials", "20", "--roots", "0,1", "--m-max", "20", "--format", "json"],
+            capsys,
+        ) == "d780057169066b8b0b4e7d3c3ecf90dbfe0f9193c54709eb474948b0691e1231"
 
 
 class TestEntryPoint:

@@ -12,7 +12,9 @@ from nbperc import (
     estimate_threshold,
     gen_complete_sym,
     gen_erdos_renyi_digraph,
+    gen_path_sym,
     gen_random_regular_sym,
+    gen_star_sym,
     induced_subgraph,
     measure_components,
     multiplicity_probe,
@@ -136,6 +138,45 @@ class TestOutProb:
             monkeypatch.setattr(percolation, "OUT_PROB_BLOCK", block)
             est = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
             assert est.p_hat.tolist() == default.p_hat.tolist()
+
+    @pytest.mark.parametrize("g, v", [
+        *[pytest.param(gen_erdos_renyi_digraph(40, 0.08, s), v, id=f"er40-{s}-root{v}")
+          for s in range(5) for v in (0, 18)],  # out-degree 0: root 0 at s = 4, 18 at s = 2
+        pytest.param(gen_random_regular_sym(60, 3, 1), 0, id="regular60"),
+        pytest.param(gen_star_sym(50), 0, id="star50-hub"),
+        pytest.param(gen_star_sym(50), 1, id="star50-leaf"),
+        pytest.param(gen_path_sym(30), 0, id="path30"),
+        pytest.param(DiGraph(1, []), 0, id="one-vertex"),
+    ])
+    def test_matches_capped_dfs(self, g, v, monkeypatch):
+        # Bitwise against one capped depth-first search per trial, with the
+        # trials in one block, one row per block, and a few rows per block.
+        from conftest import capped_dfs_out_prob
+
+        for block in (percolation.OUT_PROB_BLOCK, 1, 77, 1000):
+            monkeypatch.setattr(percolation, "OUT_PROB_BLOCK", block)
+            for m_max in (1, 2, 20, g.n + 1):
+                for p in (0.0, 0.35, 1.0):
+                    est = estimate_out_prob(g, v, p, m_max, 200, 9)
+                    p_hat, stderr = capped_dfs_out_prob(g, v, p, m_max, 200, 9)
+                    assert est.p_hat.tobytes() == p_hat.tobytes()
+                    assert est.stderr.tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize("g, m_max", [
+        pytest.param(gen_complete_sym(200), 200, id="complete200"),
+        pytest.param(gen_star_sym(5000), 5001, id="star5000-hub"),
+    ])
+    def test_search_memory_is_bounded(self, g, m_max):
+        # Blocks sized by vertices alone would hold 1,310 trials of the
+        # complete graph, each scanning up to 199 × 199 arcs in one round;
+        # the hub root scans 5,000 arcs per trial in one round.
+        tracemalloc.start()
+        try:
+            estimate_out_prob(g, 0, 0.9, m_max, 3000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_draw_memory_is_bounded(self):
         # 20,000 trials on 2,000 vertices would be 320 MB of uniforms in
