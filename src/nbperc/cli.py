@@ -92,7 +92,10 @@ def _parse_p_list(text):
 
 def _parse_roots(text, n):
     """Comma list of root vertices, each checked against 0..n-1."""
-    roots = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        roots = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ParseError(f"bad root list {text!r}") from None
     for r in roots:
         if not 0 <= r < n:
             raise ParseError(f"root {r} outside 0..{n - 1}")

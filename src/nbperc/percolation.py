@@ -6,6 +6,9 @@ regardless of how trials are scheduled across workers.  The coupled sweep
 mode draws one uniform per vertex per trial and reuses it across the whole
 probability grid, which makes every component statistic monotone in p
 within a trial and roughly halves threshold-location variance.
+
+A trial measures its grid in blocks of grid points: the open subgraphs of
+a block form one disjoint union, with one strong-component solve.
 """
 from __future__ import annotations
 
@@ -18,12 +21,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import NoCrossingError
+from .graph import _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Uniforms drawn per block by estimate_out_prob: bounds its memory at a
-# few MB whatever the trial count and graph size.
-OUT_PROB_BLOCK = 1 << 18
+# Entries per block: uniforms drawn by estimate_out_prob, or arcs of the
+# open subgraphs that one strong-component solve of the sweep measures.
+# Bounds their memory at a few MB whatever the grid, trial count and graph.
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,75 +118,97 @@ def sample_open_set(n, p, rng):
     return rng.random(n) < p
 
 
-def _measure(n_ref, tails, heads, open_mask, giant_fraction):
-    """Component statistics of the open induced subgraph.
+def _measure(n_ref, out_deg, heads, draws, p, giant_fraction):
+    """Component statistics of a block of open induced subgraphs.
 
-    Sizes are absolute vertex counts; "giant" means exceeding
-    giant_fraction * n_ref where n_ref is the original vertex count.
+    Subgraph i opens the vertices whose draw is below p[i]; draws holds one
+    row for the whole block or one row per subgraph.  Row i of heads holds
+    the heads of the arcs sorted by tail (out_deg arcs per tail), with
+    vertex v numbered i * n + v, so the subgraphs form one disjoint union,
+    measured with one strong-component solve.
+
+    Returns a (len(p), len(STAT_NAMES)) int64 array.  Sizes are absolute
+    vertex counts; "giant" means exceeding giant_fraction * n_ref.
     """
-    k = int(open_mask.sum())
-    if k == 0:
-        return ComponentStats(0, 0, 0, 0, 0)
-    new_id = np.cumsum(open_mask) - 1
-    amask = open_mask[tails] & open_mask[heads]
-    t2 = new_id[tails[amask]]
-    h2 = new_id[heads[amask]]
-    if len(t2):
-        m = csr_matrix((np.ones(len(t2), dtype=np.int8), (t2, h2)), shape=(k, k))
-        ncomp, labels = _cc(m, directed=True, connection="strong")
-    else:
-        ncomp, labels = k, np.arange(k)
+    k = len(p)
+    opens = draws < np.asarray(p)[:, None]
+    row_sizes = opens.sum(axis=1)
+    if not row_sizes.any():
+        return np.zeros((k, len(STAT_NAMES)), dtype=np.int64)
+    heads = heads.ravel()
+    arcs = np.flatnonzero(np.repeat(opens, out_deg, axis=1).ravel() & opens.ravel()[heads])
+    new_id = (np.cumsum(opens, dtype=np.int32) - 1).reshape(opens.shape)  # union vertex ids
+    t2 = np.repeat(new_id, out_deg, axis=1).ravel()[arcs]  # sorted, as _offsets needs
+    h2 = new_id.ravel()[heads[arcs]]
+    del arcs, new_id  # freed before the solve
+    size = int(row_sizes.sum())
+    # The solve reads only the pattern: a broadcast 1.0 stands in for the values.
+    union = csr_matrix((np.broadcast_to(1.0, len(t2)), h2, _offsets(t2, size)),
+                       shape=(size, size))
+    ncomp, labels = _cc(union, directed=True, connection="strong")
     sizes = np.bincount(labels, minlength=ncomp)
-    if ncomp == 1:
-        largest, second = int(sizes[0]), 0
-    else:
-        top = np.partition(sizes, ncomp - 2)
-        largest, second = int(top[-1]), int(top[-2])
-    giant_count = int((sizes > giant_fraction * n_ref).sum())
+    comp_row = np.empty(ncomp, dtype=np.int64)
+    comp_row[labels] = np.repeat(np.arange(k), row_sizes)
+    # Row i's component sizes, ascending, end at ascending[ends[i] + 1].
+    counts = np.bincount(comp_row, minlength=k)
+    ends = np.cumsum(counts)
+    ascending = np.concatenate(([0, 0], sizes[np.lexsort((sizes, comp_row))]))
+    largest = np.where(counts > 0, ascending[ends + 1], 0)
+    second = np.where(counts > 1, ascending[ends], 0)
+    giant = np.bincount(comp_row[sizes > giant_fraction * n_ref], minlength=k)
+    stats = np.stack((largest, second, largest, largest, giant), axis=1)
     cross = labels[t2] != labels[h2]
-    if not cross.any():
-        out_max = in_max = largest
-    else:
-        ct = labels[t2[cross]]
-        ch = labels[h2[cross]]
-        out_max = max(largest, _max_reach_mass(ncomp, ct, ch, sizes))
-        in_max = max(largest, _max_reach_mass(ncomp, ch, ct, sizes))
-    return ComponentStats(largest, second, out_max, in_max, giant_count)
+    if cross.any():
+        ct, ch = labels[t2[cross]], labels[h2[cross]]
+        for col, src, dst in ((2, ct, ch), (3, ch, ct)):
+            sources, masses = _source_masses(ncomp, src, dst, sizes)
+            np.maximum.at(stats[:, col], comp_row[sources], masses)
+    return stats
 
 
-def _max_reach_mass(ncomp, src, dst, sizes):
-    """Max over condensation nodes of total vertex mass reachable from it.
+def _source_masses(ncomp, src, dst, sizes):
+    """Condensation sources with out-arcs, and the vertex mass each reaches.
 
-    Reachable sets are nested along condensation arcs, so the maximum is
-    attained at an in-degree-zero node; a DFS per source suffices.
+    Reachable sets are nested along condensation arcs, so the largest
+    reach mass in a subgraph is a source's (or, with no arcs, a component's
+    own size); a DFS per source suffices.
     """
-    succ = [[] for _ in range(ncomp)]
-    indeg = np.zeros(ncomp, dtype=np.int64)
-    for a, b in set(zip(src.tolist(), dst.tolist())):
-        succ[a].append(b)
-        indeg[b] += 1
-    best = 0
-    for s in np.flatnonzero(indeg == 0):
-        seen = {int(s)}
-        stack = [int(s)]
-        mass = int(sizes[s])
+    a, b = np.divmod(np.unique(src.astype(np.int64) * ncomp + dst), ncomp)
+    sources = np.setdiff1d(a, b)
+    ptr, succ, mass_of = _offsets(a, ncomp).tolist(), b.tolist(), sizes.tolist()
+    masses = []
+    for s in sources.tolist():
+        seen = {s}
+        stack = [s]
+        mass = mass_of[s]
         while stack:
             c = stack.pop()
-            for b in succ[c]:
-                if b not in seen:
-                    seen.add(b)
-                    mass += int(sizes[b])
-                    stack.append(b)
-        best = max(best, mass)
-    return best
+            for d in succ[ptr[c]:ptr[c + 1]]:
+                if d not in seen:
+                    seen.add(d)
+                    mass += mass_of[d]
+                    stack.append(d)
+        masses.append(mass)
+    return sources, np.array(masses, dtype=np.int64)
 
 
 def measure_components(g_open, giant_fraction=0.01, n_reference=None):
     """Component statistics of an (induced) digraph with all vertices open."""
     if n_reference is None:
         n_reference = g_open.n
-    mask = np.ones(g_open.n, dtype=bool)
-    return _measure(n_reference, g_open.tails, g_open.heads, mask, giant_fraction)
+    stats = _measure(n_reference, *_block_arcs(g_open, 1), np.zeros(g_open.n), (1.0,),
+                     giant_fraction)
+    return ComponentStats(*stats[0].tolist())
+
+
+def _block_arcs(g, rows):
+    """The arcs of a block of rows as _measure takes them: out-degrees,
+    and the heads of the arcs sorted by tail as a (rows, n_arcs) array
+    whose row i numbers vertex v as i * n + v."""
+    heads = g.heads[g.out_order][None, :]
+    if rows > 1:
+        heads = heads + g.n * np.arange(rows)[:, None]
+    return np.diff(g.out_ptr), heads
 
 
 def _worker_count():
@@ -202,23 +229,23 @@ def sweep(g, config):
     reduction order is fixed, so the result does not depend on the worker
     count (NBPERC_THREADS)."""
     p_grid = tuple(float(p) for p in config.p_grid)
-    n_p = len(p_grid)
-    tails, heads = g.tails, g.heads
+    n = g.n
     gf = config.giant_fraction
+    rows = max(1, min(len(p_grid), BLOCK_ENTRIES // max(g.n_arcs, n, 1)))
+    out_deg, heads = _block_arcs(g, rows)
 
     def run_trial(t):
-        rows = []
         if config.coupled:
-            rng = trial_rng(config.master_seed, t)
-            draws = rng.random(g.n)
-            for p in p_grid:
-                rows.append(_measure(g.n, tails, heads, draws < p, gf))
-        else:
-            for i, p in enumerate(p_grid):
-                rng = trial_rng(config.master_seed, i, t)
-                mask = sample_open_set(g.n, p, rng)
-                rows.append(_measure(g.n, tails, heads, mask, gf))
-        return rows
+            draws = trial_rng(config.master_seed, t).random(n)
+        stats = np.empty((len(p_grid), len(STAT_NAMES)), dtype=np.int64)
+        for i in range(0, len(p_grid), rows):
+            ps = p_grid[i:i + rows]
+            k = len(ps)
+            if not config.coupled:
+                draws = np.array([trial_rng(config.master_seed, j, t).random(n)
+                                  for j in range(i, i + k)])
+            stats[i:i + k] = _measure(n, out_deg, heads[:k], draws, ps, gf)
+        return stats
 
     workers = _worker_count()
     if workers == 1:
@@ -235,12 +262,9 @@ def sweep(g, config):
         coupled=config.coupled,
         master_seed=config.master_seed,
     )
-    for name in STAT_NAMES:
-        arr = np.empty((n_p, config.trials), dtype=np.int64)
-        for t, rows in enumerate(per_trial):
-            for i, st in enumerate(rows):
-                arr[i, t] = getattr(st, name)
-        result.stats[name] = arr
+    stats = np.stack(per_trial, axis=2)  # (grid point, stat, trial)
+    for j, name in enumerate(STAT_NAMES):
+        result.stats[name] = stats[:, j].copy()
     return result.finalize()
 
 
@@ -252,8 +276,8 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     array operations at a time.  A round scans, per reached vertex, at most
     as many out-arcs as its trial still lacks vertices, and a trial stops at
     m_max: its count is min(reach size, m_max), which leaves every P-hat
-    exact.  A block holds at most OUT_PROB_BLOCK draws, and a round scans at
-    most OUT_PROB_BLOCK arcs, unless one trial alone needs more.
+    exact.  A block holds at most BLOCK_ENTRIES draws, and a round scans at
+    most BLOCK_ENTRIES arcs, unless one trial alone needs more.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0,1]")
@@ -267,7 +291,7 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
-    rows = max(1, OUT_PROB_BLOCK // max(n, widest, 1))
+    rows = max(1, BLOCK_ENTRIES // max(n, widest, 1))
     stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
     while remaining > 0:

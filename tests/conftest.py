@@ -2,14 +2,17 @@
 
 The oracles here deliberately avoid the production code paths: dense
 eigensolves go through numpy, reachability through boolean closure, walk
-counts through explicit enumeration over arc sequences, and out-component
-probabilities through one capped depth-first search per trial.
+counts through explicit enumeration over arc sequences, out-component
+probabilities through one capped depth-first search per trial, and sweep
+statistics through one strong-component solve per grid point.
 """
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from nbperc import DiGraph, gen_complete_sym, gen_cycle, gen_path_sym, gen_star_sym
-from nbperc.percolation import trial_rng
+from nbperc.percolation import STAT_NAMES, sample_open_set, trial_rng
 
 
 @pytest.fixture
@@ -138,3 +141,63 @@ def capped_dfs_out_prob(g, v, p, m_max, trials, seed):
     at_least = np.cumsum(size_hist[::-1])[::-1]
     p_hat = at_least[1:] / trials
     return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def per_point_sweep_stats(g, config):
+    """sweep(g, config).stats, measuring one grid point at a time: one
+    strong-component solve of the open induced subgraph, and one
+    depth-first search per condensation source for the reach masses."""
+    stats = {name: np.zeros((len(config.p_grid), config.trials), dtype=np.int64)
+             for name in STAT_NAMES}
+    for t in range(config.trials):
+        draws = trial_rng(config.master_seed, t).random(g.n)
+        for i, p in enumerate(config.p_grid):
+            if config.coupled:
+                mask = draws < p
+            else:
+                mask = sample_open_set(g.n, p, trial_rng(config.master_seed, i, t))
+            row = _point_stats(g, mask, config.giant_fraction)
+            for name, value in zip(STAT_NAMES, row):
+                stats[name][i, t] = value
+    return stats
+
+
+def _point_stats(g, mask, giant_fraction):
+    k = int(mask.sum())
+    if k == 0:
+        return 0, 0, 0, 0, 0
+    new_id = np.cumsum(mask) - 1
+    keep = mask[g.tails] & mask[g.heads]
+    t2, h2 = new_id[g.tails[keep]], new_id[g.heads[keep]]
+    adj = csr_matrix((np.ones(len(t2)), (t2, h2)), shape=(k, k))
+    ncomp, labels = connected_components(adj, directed=True, connection="strong")
+    sizes = np.bincount(labels, minlength=ncomp)
+    top = sorted(sizes.tolist())
+    largest, second = top[-1], (top[-2] if ncomp > 1 else 0)
+    giant = int((sizes > giant_fraction * g.n).sum())
+    succ = [set() for _ in range(ncomp)]
+    pred = [set() for _ in range(ncomp)]
+    for a, b in zip(labels[t2].tolist(), labels[h2].tolist()):
+        if a != b:
+            succ[a].add(b)
+            pred[b].add(a)
+    return (largest, second, _max_reach(succ, pred, sizes),
+            _max_reach(pred, succ, sizes), giant)
+
+
+def _max_reach(succ, pred, sizes):
+    """Largest vertex mass reachable from one condensation node, searched
+    from every node with no predecessor."""
+    best = 0
+    for s in range(len(succ)):
+        if pred[s]:
+            continue
+        seen = {s}
+        stack = [s]
+        while stack:
+            for b in succ[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        best = max(best, int(sizes[list(seen)].sum()))
+    return best

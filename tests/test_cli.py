@@ -154,6 +154,16 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_bad_root_list(self, c3_file, capsys):
+        code, out, err = run_cli(
+            ["simulate", c3_file, "--p-min", "0.5", "--p-max", "0.5", "--steps", "1",
+             "--roots", "a"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "nbperc: error: bad root list 'a'\n"
+
 
 class TestBoundsCheck:
     def test_cycle_table(self, c3_file, capsys):
@@ -189,6 +199,14 @@ class TestBoundsCheck:
         assert code == 2
         assert out == ""
         assert "root 7 outside 0..2" in err
+
+    def test_bad_root_list(self, c3_file, capsys):
+        code, out, err = run_cli(
+            ["bounds-check", c3_file, "--p", "0.3", "--roots", "1,x"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "nbperc: error: bad root list '1,x'\n"
 
 
 class TestGoldenBytes:

@@ -24,7 +24,19 @@ from nbperc import (
 )
 from nbperc import percolation
 from nbperc.errors import NoCrossingError
-from nbperc.percolation import STAT_NAMES, _measure
+from nbperc.percolation import STAT_NAMES, ComponentStats, _block_arcs, _measure
+
+
+def grid_sym(side):
+    """side x side grid graph with both directions of every edge."""
+    arcs = []
+    for v in range(side * side):
+        r, c = divmod(v, side)
+        if c + 1 < side:
+            arcs += [(v, v + 1), (v + 1, v)]
+        if r + 1 < side:
+            arcs += [(v, v + side), (v + side, v)]
+    return DiGraph(side * side, arcs)
 
 
 class TestSampling:
@@ -65,11 +77,20 @@ class TestMeasure:
     def test_out_in_dominate_scc(self):
         for seed in range(15):
             g = gen_erdos_renyi_digraph(40, 0.06, seed)
-            rng = trial_rng(seed)
-            mask = sample_open_set(g.n, 0.7, rng)
-            st = _measure(g.n, g.tails, g.heads, mask, 0.01)
-            assert st.largest_out >= st.largest_scc
-            assert st.largest_in >= st.largest_scc
+            draws = trial_rng(seed).random(g.n)
+            stats = _measure(g.n, *_block_arcs(g, 3), draws, (0.5, 0.7, 0.9), 0.01)
+            for row in stats:
+                st = ComponentStats(*row.tolist())
+                assert st.largest_out >= st.largest_scc
+                assert st.largest_in >= st.largest_scc
+
+    def test_directed_path_reaches_every_vertex(self):
+        # 50,000 one-vertex components: condensation keys of arc pairs
+        # exceed the int32 range of the component labels.
+        n = 50000
+        g = DiGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n))
+        st = measure_components(g)
+        assert (st.largest_scc, st.second_scc, st.largest_out, st.largest_in) == (1, 1, n, n)
 
     def test_out_component_matches_bruteforce(self):
         from conftest import reachability_closure
@@ -135,7 +156,7 @@ class TestOutProb:
         g = gen_erdos_renyi_digraph(30, 0.1, 0)
         default = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
         for block in (1, 77):  # one row per block; two rows per block
-            monkeypatch.setattr(percolation, "OUT_PROB_BLOCK", block)
+            monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             est = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
             assert est.p_hat.tolist() == default.p_hat.tolist()
 
@@ -153,8 +174,8 @@ class TestOutProb:
         # trials in one block, one row per block, and a few rows per block.
         from conftest import capped_dfs_out_prob
 
-        for block in (percolation.OUT_PROB_BLOCK, 1, 77, 1000):
-            monkeypatch.setattr(percolation, "OUT_PROB_BLOCK", block)
+        for block in (percolation.BLOCK_ENTRIES, 1, 77, 1000):
+            monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             for m_max in (1, 2, 20, g.n + 1):
                 for p in (0.0, 0.35, 1.0):
                     est = estimate_out_prob(g, v, p, m_max, 200, 9)
@@ -253,6 +274,60 @@ class TestSweep:
         a = sweep(k4sym, PercolationConfig(coupled=True, **base))
         b = sweep(k4sym, PercolationConfig(coupled=False, **base))
         assert a.coupled and not b.coupled
+
+    @pytest.mark.parametrize("g", [
+        *[pytest.param(gen_erdos_renyi_digraph(40, 0.06, s), id=f"er40-{s}") for s in (0, 1)],
+        *[pytest.param(gen_erdos_renyi_digraph(12, 0.2, s), id=f"er12-{s}") for s in (0, 1)],
+        pytest.param(grid_sym(12), id="lattice12"),
+        pytest.param(gen_star_sym(8), id="star8"),
+        pytest.param(DiGraph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (1, 5)]),
+                     id="dag6"),
+        pytest.param(DiGraph(1, []), id="one-vertex"),
+        pytest.param(DiGraph(0, []), id="empty"),
+    ])
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "independent"])
+    def test_matches_per_point_oracle(self, g, coupled, monkeypatch):
+        # Bitwise against one strong-component solve per grid point, with
+        # one grid point per block, a few per block and the default, on
+        # one thread and two.
+        from conftest import per_point_sweep_stats
+
+        config = PercolationConfig(p_grid=(0.0, 0.3, 0.55, 0.8, 0.9, 1.0), trials=5,
+                                   master_seed=7, coupled=coupled)
+        expected = SweepResult(p_grid=config.p_grid, n=g.n, trials=config.trials,
+                               giant_fraction=config.giant_fraction, coupled=coupled,
+                               master_seed=config.master_seed,
+                               stats=per_point_sweep_stats(g, config)).finalize()
+        for block in (percolation.BLOCK_ENTRIES, 1, 77):
+            monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("NBPERC_THREADS", threads)
+                sr = sweep(g, config)
+                for name in STAT_NAMES:
+                    assert sr.stats[name].tobytes() == expected.stats[name].tobytes()
+                    assert sr.means[name].tobytes() == expected.means[name].tobytes()
+                    assert sr.stderrs[name].tobytes() == expected.stderrs[name].tobytes()
+
+    def test_oracle_inputs_run_reach_mass(self):
+        # The directed inputs above have arcs between open strong
+        # components, so the reach-mass pass is exercised.
+        for s in (0, 1):
+            st = measure_components(gen_erdos_renyi_digraph(40, 0.06, s))
+            assert st.largest_out > st.largest_scc
+
+    def test_sweep_memory_is_bounded(self):
+        # Blocks sized by vertices alone would hold all 11 grid points of
+        # the complete graph, 2.7 million arcs in one solve (52 MB).
+        g = gen_complete_sym(500)
+        config = PercolationConfig(p_grid=tuple(np.linspace(0.3, 1.0, 11).tolist()),
+                                   trials=2, master_seed=1)
+        tracemalloc.start()
+        try:
+            sweep(g, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestThreshold:
