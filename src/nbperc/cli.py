@@ -23,7 +23,12 @@ from .bounds import (
     sac_bound_closed,
     sac_bound_logdet,
 )
-from .cycles import VERTEX_CAP, enumerate_elementary_circuits, expected_sac_count
+from .cycles import (
+    VERTEX_CAP,
+    _check_vertex_cap,
+    enumerate_elementary_circuits,
+    expected_sac_count,
+)
 from .errors import BoundDomainError, NbpercError, NonConvergenceError, ParseError
 from .generators import (
     gen_complete_sym,
@@ -113,6 +118,8 @@ def _write_output(text, path):
 def build_analysis_document(g, p_grid, cycles_max_len=None):
     """Full analysis pipeline: graph summary, spectral report, bounds, and
     an optional cycle census."""
+    if cycles_max_len is not None:
+        _check_vertex_cap(g.n)
     h = build_hashimoto(g)
     labeling = strongly_connected_components(g)
     sym_count = len(_symmetric_arcs(g)[0])
@@ -185,6 +192,8 @@ def _doc_to_csv(doc):
 
 
 def cmd_analyze(args):
+    if args.cycles is not None and args.cycles < 0:
+        raise ParseError(f"--cycles must be >= 0, got {args.cycles}")
     g = _load_graph(args.input, args.undirected)
     p_grid = _parse_p_list(args.p)
     doc = build_analysis_document(
@@ -199,9 +208,9 @@ def cmd_analyze(args):
 
 
 def cmd_simulate(args):
-    g = _load_graph(args.input, args.undirected)
     if args.steps < 1:
         raise ParseError(f"--steps must be >= 1, got {args.steps}")
+    g = _load_graph(args.input, args.undirected)
     if args.steps == 1:
         p_grid = (float(args.p_min),)
     else:

@@ -24,6 +24,12 @@ VERTEX_CAP = 16
 SAC_MIN_LEN = 3
 
 
+def _check_vertex_cap(n):
+    """Raise CapExceededError unless a census of n vertices is inside the cap."""
+    if n > VERTEX_CAP:
+        raise CapExceededError(f"circuit enumeration needs n <= {VERTEX_CAP}, got {n}")
+
+
 @dataclass
 class CycleReport:
     """Census of elementary circuits (canonical: minimal vertex first)."""
@@ -38,10 +44,7 @@ def enumerate_elementary_circuits(g, max_len=None):
 
     The circuit count explodes combinatorially, hence the hard vertex cap.
     """
-    if g.n > VERTEX_CAP:
-        raise CapExceededError(
-            f"circuit enumeration needs n <= {VERTEX_CAP}, got {g.n}"
-        )
+    _check_vertex_cap(g.n)
     if max_len is None:
         max_len = g.n
     order = np.lexsort((g.heads, g.tails))

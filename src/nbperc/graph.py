@@ -9,7 +9,6 @@ structures work on those arrays in bulk.
 """
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -74,7 +73,11 @@ class DiGraph:
                 "duplicate": f"duplicate arc ({t},{h})",
             }[reason])
         out_ptr = _offsets(tails, n)
-        out_order = np.argsort(tails, kind="stable")
+        # A stable argsort of tails as one sort of distinct keys.  tails *
+        # m + arc id < n·m < 2**63: a larger n·m needs 8(n + 1) bytes of
+        # out_ptr plus 16m of arcs, at least 64 GiB when n·m >= 2**63.
+        m = len(tails)
+        out_order = np.sort(tails * m + np.arange(m)) % m
         for arr in (tails, heads, out_ptr, out_order):
             arr.flags.writeable = False
         self.n = n
@@ -157,7 +160,15 @@ class ComponentLabeling:
 
 # Largest vertex id whose vertex count id + 1 still fits in int64.
 _MAX_ID = np.iinfo(np.int64).max - 1
-_ONE_TOKEN_LINE = re.compile(r"^\S+$", re.MULTILINE)
+# Byte classes of the bulk reader: the ASCII bytes where str.splitlines()
+# breaks, the rest of str.split()'s ASCII whitespace, digits, and the rest.
+_BREAK, _SPACE, _DIGIT, _OTHER = range(4)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+_BYTE_CLASS[list(b" \t\x1f")] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+# Longest id the bulk reader converts: 10**18 - 1 < _MAX_ID.
+_MAX_DIGITS = 18
 
 
 def parse_edge_list(text, undirected=False):
@@ -167,34 +178,61 @@ def parse_edge_list(text, undirected=False):
     "#n <N>" that fixes the vertex count.  With ``undirected`` set, each
     input line (u, v) yields both arcs u->v and v->u.
 
-    All lines are checked and converted at once; once that finds the
-    input invalid, a line-by-line re-scan raises the ParseError of the
-    first bad line.
+    Plain ASCII text with digit-only ids is read in bulk from its bytes.
+    Any other text, valid or not, is read line by line, which takes every
+    spelling int() takes and raises the ParseError of the first bad line.
     """
     try:
-        return _parse_bulk(text, undirected)
-    except (ValueError, OverflowError):  # ParseError and GraphStructureError too
-        _raise_first_error(text, undirected)
-        raise
+        return _parse_bytes(text, undirected)
+    except ValueError:  # ParseError, GraphStructureError and UnicodeError too
+        return _parse_lines(text, undirected)
 
 
-def _parse_bulk(text, undirected):
-    """parse_edge_list without line numbers: any invalid input raises
-    ValueError or OverflowError."""
-    lines = [raw.strip() for raw in text.splitlines()]
+def _parse_bytes(text, undirected):
+    """parse_edge_list of plain ASCII text whose ids are digits only, read
+    from its bytes in bulk.  Raises ValueError for any other text, valid
+    or not; line numbers in its errors are not meaningful.
+
+    Loading a graph peaks here, so the per-byte arrays are uint8 or bool
+    and each array is dropped once used."""
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    cls = _BYTE_CLASS[data]
+    breaks = np.flatnonzero(cls == _BREAK)
+    other = np.flatnonzero(cls == _OTHER)
+    # A word is a run of digit and other bytes: its start and end are
+    # consecutive edges of that class.
+    in_word = np.zeros(len(data) + 2, dtype=bool)
+    np.greater_equal(cls, _DIGIT, out=in_word[1:-1])
+    edges = np.flatnonzero(in_word[1:] != in_word[:-1])
+    starts, ends = edges.reshape(-1, 2).T
+    del cls, in_word
+    line = np.searchsorted(breaks, starts)  # lines count "\r\n" as two breaks
+    first = np.ones(len(starts), dtype=bool)  # the word opens its line
+    np.not_equal(line[1:], line[:-1], out=first[1:])
+    comment = first & (data[starts] == ord("#"))
+    comment_lines = line[comment]
+    is_comment = np.zeros(len(breaks) + 1, dtype=bool)  # per line
+    is_comment[comment_lines] = True
     declared_n = None
-    for i in [i for i, line in enumerate(lines) if line.startswith("#")]:
-        count = _header(lines[i], i + 1)
+    for at, lineno in zip(starts[comment].tolist(), comment_lines.tolist()):
+        stop = int(breaks[lineno]) if lineno < len(breaks) else len(data)
+        count = _header(text[at:stop], lineno + 1)
         if count is not None:
             declared_n = count
-    body = "\n".join([line for line in lines if line and not line.startswith("#")])
-    tokens = body.split()
-    # Every body line has at least two tokens and there are two per line.
-    if len(tokens) != 2 * (body.count("\n") + 1 if body else 0) or _ONE_TOKEN_LINE.search(body):
+    if not is_comment[np.searchsorted(breaks, other)].all():
+        raise ValueError("a non-digit byte outside comments")
+    body = ~is_comment[line]
+    ends, lens, line = ends[body], (ends - starts)[body], line[body]
+    del edges, starts
+    if len(line) % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
         raise ValueError("a line without exactly two vertex ids")
-    ids = np.array(tokens, dtype=np.int64)  # int() of each token
-    if ids.min(initial=0) < 0 or ids.max(initial=0) > _MAX_ID:
-        raise ValueError(f"vertex id outside 0..{_MAX_ID}")
+    width = int(lens.max(initial=0))
+    if width > _MAX_DIGITS:
+        raise ValueError(f"an id longer than {_MAX_DIGITS} digits")
+    ids = np.zeros(len(ends), dtype=np.int64)
+    for k in range(width, 0, -1):  # the k-th digit from each word's end
+        ids *= 10
+        ids += np.where(lens >= k, np.take(data, ends - k, mode="clip") - ord("0"), 0)
     max_id = int(ids.max(initial=-1))
     if declared_n is not None and max_id >= declared_n:
         raise ValueError(f"vertex id {max_id} exceeds declared count {declared_n}")
@@ -222,12 +260,12 @@ def _header(line, lineno):
     return declared_n
 
 
-def _raise_first_error(text, undirected):
-    """Raise the ParseError of the first invalid line of text, or the
-    declared-count error if every line is valid.  Only called once the
-    bulk parse has found the input invalid, to name the line."""
+def _parse_lines(text, undirected):
+    """parse_edge_list one line at a time.  Raises the ParseError of the
+    first invalid line of text, or the declared-count error if every line
+    is valid."""
     declared_n = None
-    seen = set()
+    arcs = {}  # insertion-ordered, so its keys are the arcs in input order
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -252,12 +290,13 @@ def _raise_first_error(text, undirected):
         if u == v:
             raise ParseError(f"self-loop ({u},{v})", lineno)
         for pair in [(u, v), (v, u)] if undirected else [(u, v)]:
-            if pair in seen:
+            if pair in arcs:
                 raise ParseError(f"duplicate arc {pair}", lineno)
-            seen.add(pair)
+            arcs[pair] = None
         max_id = max(max_id, u, v)
     if declared_n is not None and max_id >= declared_n:
         raise ParseError(f"vertex id {max_id} exceeds declared count {declared_n}")
+    return DiGraph(max_id + 1 if declared_n is None else declared_n, list(arcs))
 
 
 def _arc_lines(g):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nbperc import cli
 from nbperc.cli import main
 
 
@@ -91,6 +92,23 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["cycles"]["sac_count_by_length"] == {"3": 1}
 
+    def test_cycles_cap_checked_before_the_analysis(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "c17.txt"
+        run_cli(["gen", "cycle", "17", "-o", str(path)], capsys)
+        monkeypatch.setattr(cli, "build_hashimoto",
+                            lambda g: pytest.fail("analysis ran before the cap check"))
+        code, out, err = run_cli(["analyze", str(path), "--cycles", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "nbperc: error: circuit enumeration needs n <= 16, got 17\n"
+
+    def test_negative_cycles_exits_2(self, capsys):
+        # Checked before the input is read: the file does not exist.
+        code, out, err = run_cli(["analyze", "/nonexistent/file.txt", "--cycles", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "nbperc: error: --cycles must be >= 0, got -1\n"
+
     def test_csv_matches_json_values(self, c3_file, capsys):
         _, json_out, _ = run_cli(["analyze", c3_file], capsys)
         _, csv_out, _ = run_cli(["analyze", c3_file, "--format", "csv"], capsys)
@@ -153,6 +171,16 @@ class TestSimulate:
             capsys,
         )
         assert code == 2
+
+    def test_steps_checked_before_loading(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "/nonexistent/file.txt", "--p-min", "0", "--p-max", "1",
+             "--steps", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "nbperc: error: --steps must be >= 1, got 0\n"
 
     def test_bad_root_list(self, c3_file, capsys):
         code, out, err = run_cli(

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from nbperc import (
     DiGraph,
     build_hashimoto,
     gen_erdos_renyi_digraph,
+    gen_random_regular_sym,
     induced_subgraph,
     is_robustly_strongly_connected,
     parse_edge_list,
@@ -14,7 +17,9 @@ from nbperc import (
     strongly_connected_components,
     symmetric_arc_pairs,
 )
+from nbperc import graph
 from nbperc.errors import GraphStructureError, ParseError
+from nbperc.graph import _parse_bytes, _parse_lines
 
 from conftest import arc_pairs, brute_scc_partition
 
@@ -142,6 +147,111 @@ def test_parse_error_message_and_line(text, undirected, message, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize("text,undirected,message,line", PARSE_ERRORS)
+def test_line_scan_error_message_and_line(text, undirected, message, line):
+    with pytest.raises(ParseError) as exc:
+        _parse_lines(text, undirected)
+    assert str(exc.value) == message
+    assert exc.value.line == line
+
+
+def test_byte_classes_match_str_methods():
+    for byte in range(128):
+        c = chr(byte)
+        expected = (graph._BREAK if len(f"a{c}b".splitlines()) == 2
+                    else graph._SPACE if c.isspace()
+                    else graph._DIGIT if c in "0123456789" else graph._OTHER)
+        assert graph._BYTE_CLASS[byte] == expected, repr(c)
+
+
+def _plain_ascii_edge_list(rng):
+    """(text, undirected): plain ASCII edge-list text in every spelling the
+    byte reader takes; mostly valid, invalid where a line gets a '#' or
+    two more ids after its two ids."""
+    breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\n\n"]
+    spaces = [" ", "\t", "\x1f", " \t"]
+    comments = ["", "# n 7", "#n5", "# a 1 2", "#", "  # a # b", "#n 7"]
+    undirected = rng.random() < 0.5
+    n = rng.randint(2, 7)  # under the "# n 7" header
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 15))}
+    pairs = [p if undirected or rng.random() < 0.5 else p[::-1] for p in sorted(pairs)]
+    padded = rng.random() < 0.3
+    lines = ["#n 7"] if padded else []
+    for u, v in pairs:
+        if rng.random() < 0.2:
+            lines.append(rng.choice(comments))
+        u, v = (str(x).zfill(18) if padded else rng.choice(["", "0", "00"]) + str(x)
+                for x in (u, v))
+        tail = rng.choice([" # mid-line", " 0 1"] if rng.random() < 0.02 else ["", " ", "\t"])
+        lines.append(rng.choice(["", " ", "\x1f"]) + u + rng.choice(spaces) + v + tail)
+    return "".join(line + rng.choice(breaks) for line in lines), undirected
+
+
+def _outcome(parse, text, undirected):
+    try:
+        g = parse(text, undirected)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.n, arc_pairs(g)
+
+
+def test_plain_ascii_is_read_in_bulk(monkeypatch):
+    rng = random.Random(11)
+    inputs = [_plain_ascii_edge_list(rng) for _ in range(400)]
+    expected = [_outcome(_parse_lines, text, undirected) for text, undirected in inputs]
+    monkeypatch.setattr(graph, "_parse_lines", lambda *args: pytest.fail("line scan"))
+    valid = 0
+    for (text, undirected), want in zip(inputs, expected):
+        if isinstance(want[0], int):
+            valid += 1
+            assert _outcome(parse_edge_list, text, undirected) == want, repr(text)
+    assert valid > 300
+
+
+def test_corrupted_plain_ascii_fails_as_the_line_scan_does():
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(400):
+        text, undirected = _plain_ascii_edge_list(rng)
+        assert (_outcome(parse_edge_list, text, undirected)
+                == _outcome(_parse_lines, text, undirected)), repr(text)
+        if not text:
+            continue
+        at = rng.randrange(len(text))
+        text = text[:at] + chr(rng.randrange(128)) + text[at + 1:]
+        # A digit can join ids into one large id, and a graph with that
+        # many vertices would not fit in memory.
+        if max(map(int, re.findall("[0-9]+", text)), default=0) >= 10**6:
+            continue
+        checked += 1
+        assert (_outcome(parse_edge_list, text, undirected)
+                == _outcome(_parse_lines, text, undirected)), repr(text)
+    assert checked > 200
+
+
+def test_byte_reader_width_limit():
+    # 18 digits are read in bulk, all of them ...
+    with pytest.raises(ValueError, match="vertex id 999999999999999999 exceeds declared count 5"):
+        _parse_bytes("#n 5\n0 999999999999999999", False)
+    # ... and a 19-digit token goes to the line scan.
+    with pytest.raises(ValueError, match="longer than 18 digits"):
+        _parse_bytes("0000000000000000001 0", False)
+    assert arc_pairs(parse_edge_list("0000000000000000001 0")) == [(1, 0)]
+
+
+def test_parse_memory_is_bounded():
+    # One Python str per token read 75 MB; the byte reader keeps a few
+    # arrays per byte (uint8) and per word (int64).
+    text = serialize_edge_list(gen_random_regular_sym(100000, 3, 1))
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 class TestDiGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphStructureError):
@@ -181,6 +291,13 @@ class TestDiGraph:
         h = build_hashimoto(c3)
         assert h.pair_u.tolist() == [0, 1, 2]
         assert h.pair_v.tolist() == [1, 2, 0]
+
+    def test_out_order_is_stable_argsort_of_tails(self):
+        rng = np.random.default_rng(3)
+        pairs = rng.permutation(np.argwhere(~np.eye(30, dtype=bool)))[:400]
+        star = [(0, h) for h in rng.permutation(np.arange(1, 20)).tolist()]  # equal tails
+        for g in (DiGraph(30, pairs), DiGraph(20, star), DiGraph(1, []), DiGraph(0, [])):
+            assert g.out_order.tolist() == np.argsort(g.tails, kind="stable").tolist()
 
 
 class TestComponents:
