@@ -1,8 +1,9 @@
 """Command-line surface: analyze, simulate, bounds-check, gen.
 
-Exit codes: 0 ok, 2 usage/parse error, 3 numeric non-convergence.  JSON is
-the machine format, CSV the analysis format; the same run always carries
-identical numeric values in both.
+Exit codes: 0 ok, 2 usage/parse error or a failed allocation that the
+input asks for, 3 numeric non-convergence.  JSON is the machine format,
+CSV the analysis format; the same run always carries identical numeric
+values in both.
 """
 from __future__ import annotations
 
@@ -434,7 +435,9 @@ def main(argv=None):
         if exc.bracket is not None:
             print(f"nbperc: certified bracket: {exc.bracket}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NbpercError, ValueError, OSError) as exc:
+    except (NbpercError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError includes numpy's failed allocations, such as the arrays
+        # for the vertex count that an input's largest id implies.
         print(f"nbperc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -55,12 +55,15 @@ def build_hashimoto(g):
     one that returns to tail(u) is dropped."""
     first = g.out_ptr[g.heads]
     fan = g.out_ptr[g.heads + 1] - first
-    u = np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)
     # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
-    shift = np.repeat(first - (np.cumsum(fan) - fan), fan)
-    v = g.out_order[np.arange(len(u)) + shift]
-    keep = g.heads[v] != g.tails[u]
-    return HashimotoOperator(g, u[keep], v[keep])
+    # Loading a graph peaks here, so at most three candidate-sized arrays
+    # are alive at once: u is built only to be compressed.
+    v = np.repeat(first - (np.cumsum(fan) - fan), fan)
+    v += np.arange(len(v))
+    v = g.out_order[v]
+    keep = g.heads[v] != np.repeat(g.tails, fan)
+    return HashimotoOperator(g, np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep],
+                             v[keep])
 
 
 def build_olg(g):

@@ -7,8 +7,13 @@ mode draws one uniform per vertex per trial and reuses it across the whole
 probability grid, which makes every component statistic monotone in p
 within a trial and roughly halves threshold-location variance.
 
-A trial measures its grid in blocks of grid points: the open subgraphs of
-a block form one disjoint union, with one strong-component solve.
+A coupled trial's open subgraphs nest as p grows, so it walks its grid
+once in ascending p: each grid point contracts the previous point's strong
+components to weighted nodes, adds what opens, and solves that small graph.
+A block of trials runs this pass together, one strong-component solve per
+grid point.  An independent trial measures its grid in blocks of grid
+points: the open subgraphs of a block form one disjoint union, with one
+strong-component solve.
 """
 from __future__ import annotations
 
@@ -25,8 +30,8 @@ from .graph import _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Entries per block: uniforms drawn by estimate_out_prob, or arcs of the
-# open subgraphs that one strong-component solve of the sweep measures.
+# Entries per block: uniforms drawn by estimate_out_prob, or the vertices
+# and arcs of the trials or grid points that one sweep block measures.
 # Bounds their memory at a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
 
@@ -127,8 +132,7 @@ def _measure(n_ref, out_deg, heads, draws, p, giant_fraction):
     vertex v numbered i * n + v, so the subgraphs form one disjoint union,
     measured with one strong-component solve.
 
-    Returns a (len(p), len(STAT_NAMES)) int64 array.  Sizes are absolute
-    vertex counts; "giant" means exceeding giant_fraction * n_ref.
+    Returns a (len(p), len(STAT_NAMES)) int64 array, as _component_stats.
     """
     k = len(p)
     opens = draws < np.asarray(p)[:, None]
@@ -146,22 +150,98 @@ def _measure(n_ref, out_deg, heads, draws, p, giant_fraction):
     union = csr_matrix((np.broadcast_to(1.0, len(t2)), h2, _offsets(t2, size)),
                        shape=(size, size))
     ncomp, labels = _cc(union, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=ncomp)
     comp_row = np.empty(ncomp, dtype=np.int64)
     comp_row[labels] = np.repeat(np.arange(k), row_sizes)
-    # Row i's component sizes, ascending, end at ascending[ends[i] + 1].
+    ct, ch = labels[t2], labels[h2]
+    cross = ct != ch
+    return _component_stats(k, comp_row, np.bincount(labels, minlength=ncomp),
+                            ct[cross], ch[cross], n_ref, giant_fraction)
+
+
+def _nested_stats(n, tails, heads, draws, grid, giant_fraction):
+    """Component statistics of a block of coupled trials at every point of
+    the ascending grid, in one pass.
+
+    Row b of draws holds trial b's uniforms.  Within a trial the open
+    subgraphs nest as p grows, and a strongly connected set stays so when
+    vertices and arcs are added.  So each grid point solves a small graph:
+    the previous point's strong components as nodes weighted by their
+    sizes, the vertices that open at this point, the arcs that open with
+    them, and the previous point's arcs between components, through which
+    a new arc can close a cycle.  The trials' graphs form one disjoint
+    union, with one strong-component solve per grid point.
+
+    Returns a (len(draws), len(grid), len(STAT_NAMES)) int64 array, as
+    _component_stats.
+    """
+    rows, k, m = len(draws), len(grid), len(tails)
+    # The first grid index at which each vertex b * n + v and each arc
+    # b * m + a is open (k: never); a small int type gets a radix sort from
+    # the stable argsorts.
+    vstep = np.searchsorted(grid, draws, side="right").astype(np.min_scalar_type(k))
+    astep = np.maximum(vstep[:, tails], vstep[:, heads]).ravel()
+    vstep = vstep.ravel()
+    v_by_step, v_ptr = np.argsort(vstep, kind="stable"), _offsets(vstep, k + 1)
+    a_by_step, a_ptr = np.argsort(astep, kind="stable"), _offsets(astep, k + 1)
+    del vstep, astep
+    node = np.zeros(rows * n, dtype=np.int64)  # the node of each open vertex
+    sizes = node_row = ct = ch = np.zeros(0, dtype=np.int64)  # node_row: its trial
+    stats = np.zeros((k, rows, len(STAT_NAMES)), dtype=np.int64)
+    for i in range(k):
+        new = v_by_step[v_ptr[i]:v_ptr[i + 1]]
+        if len(new) == 0:  # nothing opens: the previous point again
+            if i:
+                stats[i] = stats[i - 1]
+            continue
+        old, nodes = len(sizes), len(sizes) + len(new)
+        node[new] = np.arange(old, nodes)
+        node_row = np.concatenate((node_row, new // n))
+        trial, arc = np.divmod(a_by_step[a_ptr[i]:a_ptr[i + 1]], m)
+        tail, head = node[trial * n + tails[arc]], node[trial * n + heads[arc]]
+        key = np.concatenate((ct * nodes + ch, tail * nodes + head))
+        # Sorted keys give the CSR order.  Repeats are dropped: SciPy's
+        # strong connected_components never returns on a CSR row that holds
+        # a column twice.
+        key.sort()
+        key = key[np.diff(key, prepend=-1) != 0]
+        t, h = np.divmod(key, nodes)
+        contracted = csr_matrix((np.broadcast_to(1.0, len(h)), h, _offsets(t, nodes)),
+                                shape=(nodes, nodes))
+        ncomp, comp = _cc(contracted, directed=True, connection="strong")
+        comp = comp.astype(np.int64)  # SciPy returns int32; the keys need int64
+        weights = np.concatenate((sizes, np.ones(len(new), dtype=np.int64)))
+        sizes = np.bincount(comp, weights=weights, minlength=ncomp).astype(np.int64)
+        comp_row = np.empty(ncomp, dtype=np.int64)
+        comp_row[comp] = node_row
+        node, node_row = comp[node], comp_row
+        ct, ch = comp[t], comp[h]
+        cross = ct != ch
+        ct, ch = ct[cross], ch[cross]
+        stats[i] = _component_stats(rows, comp_row, sizes, ct, ch, n, giant_fraction)
+    return stats.transpose(1, 0, 2)
+
+
+def _component_stats(k, comp_row, sizes, ct, ch, n_ref, giant_fraction):
+    """Statistics of k open subgraphs from their strong components.
+
+    Component c holds sizes[c] vertices of subgraph comp_row[c], and ct[j]
+    -> ch[j] are the arcs between components, repeats allowed.  Returns a
+    (k, len(STAT_NAMES)) int64 array.  Sizes are absolute vertex counts;
+    "giant" means exceeding giant_fraction * n_ref.
+    """
+    # Row i's component sizes, ascending, end at ascending[ends[i] + 1]:
+    # one sort of the keys row * top + size, as every size is below top.
     counts = np.bincount(comp_row, minlength=k)
     ends = np.cumsum(counts)
-    ascending = np.concatenate(([0, 0], sizes[np.lexsort((sizes, comp_row))]))
+    top = int(sizes.max(initial=0)) + 1
+    ascending = np.concatenate(([0, 0], np.sort(comp_row * top + sizes) % top))
     largest = np.where(counts > 0, ascending[ends + 1], 0)
     second = np.where(counts > 1, ascending[ends], 0)
     giant = np.bincount(comp_row[sizes > giant_fraction * n_ref], minlength=k)
     stats = np.stack((largest, second, largest, largest, giant), axis=1)
-    cross = labels[t2] != labels[h2]
-    if cross.any():
-        ct, ch = labels[t2[cross]], labels[h2[cross]]
+    if len(ct):
         for col, src, dst in ((2, ct, ch), (3, ch, ct)):
-            sources, masses = _source_masses(ncomp, src, dst, sizes)
+            sources, masses = _source_masses(len(sizes), src, dst, sizes)
             np.maximum.at(stats[:, col], comp_row[sources], masses)
     return stats
 
@@ -225,34 +305,52 @@ def _worker_count():
 def sweep(g, config):
     """Run the full (p_grid x trials) measurement, deterministically.
 
-    Trials are independent work units with their own seed streams; the
+    Every trial has its own seed streams, and a trial's statistics do not
+    depend on the trials it shares a block with.  Blocks of trials
+    (coupled) or single trials (independent) are the work units, and the
     reduction order is fixed, so the result does not depend on the worker
     count (NBPERC_THREADS)."""
     p_grid = tuple(float(p) for p in config.p_grid)
     n = g.n
     gf = config.giant_fraction
-    rows = max(1, min(len(p_grid), BLOCK_ENTRIES // max(g.n_arcs, n, 1)))
-    out_deg, heads = _block_arcs(g, rows)
+    # A block of trials (coupled) or of grid points (independent) holds
+    # at most BLOCK_ENTRIES vertices and arcs.
+    per_block = BLOCK_ENTRIES // max(g.n_arcs, n, 1)
+    if config.coupled:
+        order = np.argsort(p_grid, kind="stable")
+        grid = np.asarray(p_grid)[order]
+        rows = max(1, min(config.trials, per_block))
+        units = range(0, config.trials, rows)
 
-    def run_trial(t):
-        if config.coupled:
-            draws = trial_rng(config.master_seed, t).random(n)
-        stats = np.empty((len(p_grid), len(STAT_NAMES)), dtype=np.int64)
-        for i in range(0, len(p_grid), rows):
-            ps = p_grid[i:i + rows]
-            k = len(ps)
-            if not config.coupled:
+        def run(t0):
+            """The trials t0.. of one block: their nested pass."""
+            trials = range(t0, min(t0 + rows, config.trials))
+            draws = np.array([trial_rng(config.master_seed, t).random(n) for t in trials])
+            stats = np.empty((len(trials), len(p_grid), len(STAT_NAMES)), dtype=np.int64)
+            stats[:, order] = _nested_stats(n, g.tails, g.heads, draws, grid, gf)
+            return stats
+    else:
+        rows = max(1, min(len(p_grid), per_block))
+        out_deg, heads = _block_arcs(g, rows)
+        units = range(config.trials)
+
+        def run(t):
+            """Trial t, a block of grid points at a time."""
+            stats = np.empty((1, len(p_grid), len(STAT_NAMES)), dtype=np.int64)
+            for i in range(0, len(p_grid), rows):
+                ps = p_grid[i:i + rows]
+                k = len(ps)
                 draws = np.array([trial_rng(config.master_seed, j, t).random(n)
                                   for j in range(i, i + k)])
-            stats[i:i + k] = _measure(n, out_deg, heads[:k], draws, ps, gf)
-        return stats
+                stats[0, i:i + k] = _measure(n, out_deg, heads[:k], draws, ps, gf)
+            return stats
 
     workers = _worker_count()
     if workers == 1:
-        per_trial = [run_trial(t) for t in range(config.trials)]
+        per_unit = [run(u) for u in units]
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_trial = list(ex.map(run_trial, range(config.trials)))
+            per_unit = list(ex.map(run, units))
 
     result = SweepResult(
         p_grid=p_grid,
@@ -262,9 +360,9 @@ def sweep(g, config):
         coupled=config.coupled,
         master_seed=config.master_seed,
     )
-    stats = np.stack(per_trial, axis=2)  # (grid point, stat, trial)
+    stats = np.concatenate(per_unit)  # (trial, grid point, stat)
     for j, name in enumerate(STAT_NAMES):
-        result.stats[name] = stats[:, j].copy()
+        result.stats[name] = stats[:, :, j].T.copy()
     return result.finalize()
 
 

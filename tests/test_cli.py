@@ -87,6 +87,16 @@ class TestAnalyze:
         assert code == 2
         assert "line 1" in err
 
+    def test_allocation_failure_exits_2(self, tmp_path, capsys):
+        # The id implies 10**15 vertices: numpy refuses the 7 PiB offset
+        # array at once, before touching any memory.
+        path = tmp_path / "huge.txt"
+        path.write_text("0 1\n0 1000000000000000\n")
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("nbperc: error: Unable to allocate")
+
     def test_cycles_census(self, c3_file, capsys):
         code, out, _ = run_cli(["analyze", c3_file, "--cycles", "3"], capsys)
         doc = json.loads(out)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from nbperc import (
     build_hashimoto,
     build_olg,
     gen_erdos_renyi_digraph,
+    gen_random_regular_sym,
     strongly_connected_components,
     symmetric_arc_pairs,
     trace_power,
@@ -82,6 +85,22 @@ class TestBuild:
             u, v = np.nonzero(dense_hashimoto(g))  # row-major: by u, then v
             assert h.pair_u.tolist() == u.tolist()
             assert h.pair_v.tolist() == v.tolist()
+
+    def test_build_memory_is_bounded(self):
+        # Loading a graph peaks in this build.  In units of one int64 array
+        # per candidate (arcs after arc u: out-degree of head(u)), the build
+        # holds at most three candidate arrays at once and returns two
+        # thirds of one each for pair_u and pair_v here: about 4.0 in all.
+        # Holding u and v alongside both comparison operands read 5.8.
+        g = gen_random_regular_sym(20000, 3, 1)
+        candidates = int(np.diff(g.out_ptr)[g.heads].sum())
+        tracemalloc.start()
+        try:
+            build_hashimoto(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * candidates
 
 
 

@@ -288,25 +288,34 @@ class TestSweep:
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "independent"])
     def test_matches_per_point_oracle(self, g, coupled, monkeypatch):
         # Bitwise against one strong-component solve per grid point, with
-        # one grid point per block, a few per block and the default, on
-        # one thread and two.
+        # one grid point (independent) or trial (coupled) per block, a few
+        # per block and the default, on one thread and two.  The coupled
+        # pass walks the grid in ascending order, so it also runs on grids
+        # that are unsorted, repeat a p, are descending, or have more points
+        # than a uint8 step index holds.
         from conftest import per_point_sweep_stats
 
-        config = PercolationConfig(p_grid=(0.0, 0.3, 0.55, 0.8, 0.9, 1.0), trials=5,
-                                   master_seed=7, coupled=coupled)
-        expected = SweepResult(p_grid=config.p_grid, n=g.n, trials=config.trials,
-                               giant_fraction=config.giant_fraction, coupled=coupled,
-                               master_seed=config.master_seed,
-                               stats=per_point_sweep_stats(g, config)).finalize()
-        for block in (percolation.BLOCK_ENTRIES, 1, 77):
-            monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
-            for threads in ("1", "2"):
-                monkeypatch.setenv("NBPERC_THREADS", threads)
-                sr = sweep(g, config)
-                for name in STAT_NAMES:
-                    assert sr.stats[name].tobytes() == expected.stats[name].tobytes()
-                    assert sr.means[name].tobytes() == expected.means[name].tobytes()
-                    assert sr.stderrs[name].tobytes() == expected.stderrs[name].tobytes()
+        grids = [(0.0, 0.3, 0.55, 0.8, 0.9, 1.0)]
+        if coupled:
+            grids += [(0.8, 0.0, 0.55, 1.0, 0.3, 0.9), (0.3, 0.55, 0.9, 0.55, 1.0, 0.3),
+                      (1.0, 0.9, 0.8, 0.55, 0.3, 0.0), tuple(np.linspace(0, 1, 301).tolist())]
+        for p_grid in grids:
+            config = PercolationConfig(p_grid=p_grid, trials=5, master_seed=7,
+                                       coupled=coupled)
+            expected = SweepResult(p_grid=config.p_grid, n=g.n, trials=config.trials,
+                                   giant_fraction=config.giant_fraction, coupled=coupled,
+                                   master_seed=config.master_seed,
+                                   stats=per_point_sweep_stats(g, config)).finalize()
+            for block in (percolation.BLOCK_ENTRIES, 1, 77):
+                monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
+                for threads in ("1", "2"):
+                    monkeypatch.setenv("NBPERC_THREADS", threads)
+                    sr = sweep(g, config)
+                    for name in STAT_NAMES:
+                        assert sr.stats[name].tobytes() == expected.stats[name].tobytes()
+                        assert sr.means[name].tobytes() == expected.means[name].tobytes()
+                        assert (sr.stderrs[name].tobytes()
+                                == expected.stderrs[name].tobytes())
 
     def test_oracle_inputs_run_reach_mass(self):
         # The directed inputs above have arcs between open strong
@@ -314,6 +323,50 @@ class TestSweep:
         for s in (0, 1):
             st = measure_components(gen_erdos_renyi_digraph(40, 0.06, s))
             assert st.largest_out > st.largest_scc
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(gen_star_sym(30), id="star30"),
+        pytest.param(DiGraph(31, [arc for v in range(1, 31) for arc in
+                                  ((0, v), (v, 0), (v, v % 30 + 1), (v % 30 + 1, v))]),
+                     id="wheel30"),
+        pytest.param(gen_complete_sym(12), id="complete12"),
+        pytest.param(gen_erdos_renyi_digraph(60, 0.05, 3), id="er60"),
+    ])
+    def test_solves_see_no_repeated_arcs(self, g, monkeypatch):
+        # SciPy's strong connected_components never returns on a CSR row
+        # that holds a column twice.  The coupled pass contracts strong
+        # components, which makes parallel arcs: a new vertex with arcs into
+        # one older component (the wheel's hub, any vertex of the complete
+        # graph), and arcs between components that merge (the digraph).
+        # The star's hub, whose leaves stay apart, makes none.
+        solves = []
+
+        def checked_cc(csgraph, **kwargs):
+            rows = np.repeat(np.arange(csgraph.shape[0]), np.diff(csgraph.indptr))
+            key = rows * csgraph.shape[1] + csgraph.indices
+            assert (np.diff(key) > 0).all(), "repeated or unsorted column in a CSR row"
+            solves.append(csgraph.nnz)
+            return real_cc(csgraph, **kwargs)
+
+        real_cc = percolation._cc
+        monkeypatch.setattr(percolation, "_cc", checked_cc)
+        sweep(g, PercolationConfig(p_grid=tuple(np.linspace(0.05, 1, 20).tolist()),
+                                   trials=10, master_seed=2))
+        assert sum(solves) > 0
+
+    def test_wide_block_matches_per_point_oracle(self):
+        # 65 trials of 2,000 disjoint 2-cycles share a block.  At p = 0.9
+        # the contracted graph has about 200,000 nodes, so its keys
+        # tail * nodes + head pass 2**31.
+        from conftest import per_point_sweep_stats
+
+        g = DiGraph(4000, [arc for v in range(0, 4000, 2) for arc in ((v, v + 1), (v + 1, v))])
+        config = PercolationConfig(p_grid=(0.5, 0.9), trials=70, master_seed=3)
+        assert percolation.BLOCK_ENTRIES // g.n_arcs == 65
+        sr = sweep(g, config)
+        expected = per_point_sweep_stats(g, config)
+        for name in STAT_NAMES:
+            assert sr.stats[name].tobytes() == expected[name].tobytes()
 
     def test_sweep_memory_is_bounded(self):
         # Blocks sized by vertices alone would hold all 11 grid points of
@@ -328,6 +381,20 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_coupled_block_memory_is_bounded(self):
+        # A coupled block holds at most BLOCK_ENTRIES vertices and arcs (42
+        # trials here); all 400 trials in one block would peak near 70 MB.
+        g = grid_sym(40)
+        config = PercolationConfig(p_grid=tuple(np.linspace(0.4, 0.8, 9).tolist()),
+                                   trials=400, master_seed=1)
+        tracemalloc.start()
+        try:
+            sweep(g, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestThreshold:
