@@ -158,8 +158,11 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-# Largest vertex id whose vertex count id + 1 still fits in int64.
-_MAX_ID = np.iinfo(np.int64).max - 1
+# Vertex budget: the most vertices an input may imply, by its largest id
+# or its '#n' header.  The parser checks it before it allocates anything
+# vertex-sized, such as the two int64 arrays of the CSR offsets, which take
+# at most 256 MiB under it.
+MAX_VERTICES = 1 << 24
 # Byte classes of the bulk reader: the ASCII bytes where str.splitlines()
 # breaks, the rest of str.split()'s ASCII whitespace, digits, and the rest.
 _BREAK, _SPACE, _DIGIT, _OTHER = range(4)
@@ -167,7 +170,7 @@ _BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _BYTE_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
 _BYTE_CLASS[list(b" \t\x1f")] = _SPACE
 _BYTE_CLASS[list(b"0123456789")] = _DIGIT
-# Longest id the bulk reader converts: 10**18 - 1 < _MAX_ID.
+# Longest id the bulk reader converts: 10**18 - 1 fits in int64.
 _MAX_DIGITS = 18
 
 
@@ -177,6 +180,8 @@ def parse_edge_list(text, undirected=False):
     Lines starting with '#' are comments, except an optional header
     "#n <N>" that fixes the vertex count.  With ``undirected`` set, each
     input line (u, v) yields both arcs u->v and v->u.
+
+    An input may imply at most MAX_VERTICES vertices.
 
     Plain ASCII text with digit-only ids is read in bulk from its bytes.
     Any other text, valid or not, is read line by line, which takes every
@@ -236,6 +241,8 @@ def _parse_bytes(text, undirected):
     max_id = int(ids.max(initial=-1))
     if declared_n is not None and max_id >= declared_n:
         raise ValueError(f"vertex id {max_id} exceeds declared count {declared_n}")
+    if max_id >= MAX_VERTICES:
+        raise ValueError(f"vertex id {max_id} over the vertex budget")
     tails, heads = ids[0::2], ids[1::2]
     if undirected:
         tails, heads = np.stack([tails, heads], 1).ravel(), np.stack([heads, tails], 1).ravel()
@@ -255,7 +262,7 @@ def _header(line, lineno):
         raise ParseError(f"bad vertex count {parts[1]!r}", lineno) from None
     if declared_n < 0:
         raise ParseError(f"negative vertex count {declared_n}", lineno)
-    if declared_n > _MAX_ID + 1:
+    if declared_n > MAX_VERTICES:
         raise ParseError(f"vertex count {declared_n} too large", lineno)
     return declared_n
 
@@ -285,7 +292,7 @@ def _parse_lines(text, undirected):
             raise ParseError(f"non-integer vertex id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative vertex id in {line!r}", lineno)
-        if max(u, v) > _MAX_ID:
+        if max(u, v) >= MAX_VERTICES:
             raise ParseError(f"vertex id too large in {line!r}", lineno)
         if u == v:
             raise ParseError(f"self-loop ({u},{v})", lineno)

@@ -34,6 +34,12 @@ STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_c
 # and arcs of the trials or grid points that one sweep block measures.
 # Bounds their memory at a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
+# The most vertices whose open set fits in one int64 with the sign bit
+# clear: up to this graph size estimate_out_prob takes the closure.
+WORD_VERTICES = np.iinfo(np.int64).bits - 1
+# The number of set bits of each byte value.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -370,12 +376,12 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     """Monte-Carlo estimate of P(v open and >= m open vertices reachable
     from v), for m = 1..m_max, with binomial standard errors.
 
-    One search advances all trials of a draw block together, a round of
-    array operations at a time.  A round scans, per reached vertex, at most
-    as many out-arcs as its trial still lacks vertices, and a trial stops at
-    m_max: its count is min(reach size, m_max), which leaves every P-hat
-    exact.  A block holds at most BLOCK_ENTRIES draws, and a round scans at
-    most BLOCK_ENTRIES arcs, unless one trial alone needs more.
+    Each draw block of trials goes through one kernel: graphs of at most
+    WORD_VERTICES vertices take a word-parallel closure, larger ones a
+    capped search.  A trial's count is min(reach size, m_max), which
+    leaves every P-hat exact.  A block holds at most BLOCK_ENTRIES draws,
+    and a search round scans at most BLOCK_ENTRIES arcs, unless one trial
+    alone needs more.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0,1]")
@@ -385,42 +391,26 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     n = g.n
     heads, ptr = g.heads[g.out_order], g.out_ptr
     size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
-    # A round scans the arcs of at most m_max - 1 distinct vertices per trial.
+    # A search round scans the arcs of at most m_max - 1 distinct vertices
+    # per trial.  The closure takes the same blocks.
     widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
     rows = max(1, BLOCK_ENTRIES // max(n, widest, 1))
-    stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
+    closure = n <= WORD_VERTICES
+    if closure:
+        tables = _closure_tables(g)
+    else:
+        stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
     while remaining > 0:
         batch = min(rows, remaining)
         remaining -= batch
         opens = rng.random((batch, n)) < p
-        count = opens[:, v].astype(np.int64)
-        free = opens.ravel()  # open and not yet reached; keys are t*n + u
-        key = np.flatnonzero(count) * n + v  # reached vertices with arcs to scan
-        nxt = np.full(key.size, ptr[v])  # the next arc each of them scans
-        free[key] = False
-        while True:
-            t, u = np.divmod(key, n)
-            short = m_max - count[t]
-            left = ptr[u + 1] - nxt
-            live = (short > 0) & (left > 0)
-            if not live.any():
-                break
-            key, u, nxt = key[live], u[live], nxt[live]
-            d = np.minimum(left[live], short[live])
-            ends = np.cumsum(d)
-            arcs = np.arange(ends[-1]) + np.repeat(nxt - ends + d, d)
-            new = np.repeat(key - u, d) + heads[arcs]
-            new = new[free[new]]
-            order = np.arange(new.size)
-            stamp[new] = order
-            new = new[stamp[new] == order]
-            free[new] = False
-            count += np.bincount(new // n, minlength=batch)
-            key = np.concatenate((key, new))
-            nxt = np.concatenate((nxt + d, ptr[new % n]))
+        if closure:
+            count = _closure_counts(tables, v, m_max, opens)
+        else:
+            count = _search_counts(ptr, heads, v, m_max, opens, stamp)
         size_hist += np.bincount(np.minimum(count, m_max), minlength=m_max + 1)
     # P-hat_m = fraction of trials with capped size >= m.
     at_least = np.cumsum(size_hist[::-1])[::-1]
@@ -429,6 +419,89 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
     return OutProbEstimate(vertex=v, p=float(p), trials=trials,
                            m_values=m_values, p_hat=p_hat, stderr=stderr)
+
+
+def _closure_tables(g):
+    """The byte tables of _closure_counts: entry [k, b] is the OR of the
+    out-masks (bit h for each out-neighbour h) of the vertices 8k + i with
+    bit i set in b."""
+    out_mask = np.zeros(-(-g.n // 8) * 8, dtype=np.int64)
+    np.bitwise_or.at(out_mask, g.tails, np.left_shift(1, g.heads))
+    per_byte = out_mask.reshape(-1, 8)
+    tables = np.zeros((len(per_byte), 256), dtype=np.int64)
+    for i in range(8):  # the entries whose highest set bit is bit i
+        tables[:, 1 << i:2 << i] = tables[:, :1 << i] | per_byte[:, i:i + 1]
+    return tables
+
+
+def _closure_counts(tables, v, m_max, opens):
+    """Per row of opens, the number of open vertices reachable from v, or
+    at least m_max where that number exceeds m_max.
+
+    A row's open set is one int64, bit u for vertex u.  Each round ORs into
+    the reach of each trial whose root is open the out-masks of all its
+    reached vertices, one table lookup per byte, and keeps the open bits.
+    The rounds stop when no reach grows, or after m_max - 1 rounds: a
+    reach still growing then has grown in every round, so it holds at
+    least m_max vertices.  Trials whose root is closed count 0.
+    """
+    nbytes = len(tables)
+    padded = np.zeros((len(opens), 8 * nbytes), dtype=bool)  # whole bytes per row
+    padded[:, :opens.shape[1]] = opens
+    words = np.zeros((len(opens), 8), dtype=np.uint8)
+    words[:, :nbytes] = np.packbits(padded, bitorder="little").reshape(-1, nbytes)
+    live = np.flatnonzero(opens[:, v])  # the trials whose root is open
+    free = words.view("<i8").ravel()[live]  # their open sets
+    reach = np.full(live.size, 1 << v, dtype=np.int64)
+    for _ in range(m_max - 1):
+        octets = reach.astype("<i8", copy=False).view(np.uint8)  # byte k: bits 8k..8k+7
+        grown = reach.copy()
+        for k in range(nbytes):
+            grown |= tables[k].take(octets[k::8])
+        grown &= free
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    octets = reach.astype("<i8", copy=False).view(np.uint8)
+    count = np.zeros(len(opens), dtype=np.int64)
+    count[live] = sum(_BYTE_BITS.take(octets[k::8]) for k in range(nbytes))
+    return count
+
+
+def _search_counts(ptr, heads, v, m_max, opens, stamp):
+    """min(number of open vertices reachable from v, m_max), per row of
+    opens; heads holds the arcs' heads sorted by tail, as ptr indexes them.
+
+    One search advances all trials together, a round of array operations
+    at a time.  A round scans, per reached vertex, at most as many out-arcs
+    as its trial still lacks vertices, and a trial stops at m_max.
+    """
+    batch, n = opens.shape
+    count = opens[:, v].astype(np.int64)
+    free = opens.ravel()  # open and not yet reached; keys are t*n + u
+    key = np.flatnonzero(count) * n + v  # reached vertices with arcs to scan
+    nxt = np.full(key.size, ptr[v])  # the next arc each of them scans
+    free[key] = False
+    while True:
+        t, u = np.divmod(key, n)
+        short = m_max - count[t]
+        left = ptr[u + 1] - nxt
+        live = (short > 0) & (left > 0)
+        if not live.any():
+            return count
+        key, u, nxt = key[live], u[live], nxt[live]
+        d = np.minimum(left[live], short[live])
+        ends = np.cumsum(d)
+        arcs = np.arange(ends[-1]) + np.repeat(nxt - ends + d, d)
+        new = np.repeat(key - u, d) + heads[arcs]
+        new = new[free[new]]
+        order = np.arange(new.size)
+        stamp[new] = order
+        new = new[stamp[new] == order]
+        free[new] = False
+        count += np.bincount(new // n, minlength=batch)
+        key = np.concatenate((key, new))
+        nxt = np.concatenate((nxt + d, ptr[new % n]))
 
 
 def estimate_threshold(sr, criterion="giant-fraction-crossing", target="scc"):

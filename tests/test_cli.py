@@ -4,9 +4,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nbperc import cli
+from nbperc import cli, graph
 from nbperc.cli import main
 
 
@@ -87,11 +88,13 @@ class TestAnalyze:
         assert code == 2
         assert "line 1" in err
 
-    def test_allocation_failure_exits_2(self, tmp_path, capsys):
-        # The id implies 10**15 vertices: numpy refuses the 7 PiB offset
-        # array at once, before touching any memory.
+    def test_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The offset array of 10**15 vertices, far over the vertex budget:
+        # numpy refuses the 7 PiB at once, before touching any memory.
+        monkeypatch.setattr(graph, "_offsets",
+                            lambda keys, size: np.zeros(10**15 + 1, dtype=np.int64))
         path = tmp_path / "huge.txt"
-        path.write_text("0 1\n0 1000000000000000\n")
+        path.write_text("0 1\n1 0\n")
         code, out, err = run_cli(["analyze", str(path)], capsys)
         assert code == 2
         assert out == ""

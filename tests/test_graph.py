@@ -136,6 +136,11 @@ PARSE_ERRORS = [
     ("#n 3\n0 1\n2 2\n5 x\n0 1\n7 8", False, "line 3: self-loop (2,2)", 3),
     ("0 1\n9223372036854775808 1", False,
      "line 2: vertex id too large in '9223372036854775808 1'", 2),
+    # Just above the vertex budget: refused before any vertex-sized array.
+    (f"0 1\n{graph.MAX_VERTICES} 1", False,
+     f"line 2: vertex id too large in '{graph.MAX_VERTICES} 1'", 2),
+    (f"#n {graph.MAX_VERTICES + 1}\n0 1", False,
+     f"line 1: vertex count {graph.MAX_VERTICES + 1} too large", 1),
 ]
 
 
@@ -153,6 +158,20 @@ def test_line_scan_error_message_and_line(text, undirected, message, line):
         _parse_lines(text, undirected)
     assert str(exc.value) == message
     assert exc.value.line == line
+
+
+def test_vertex_budget_checked_before_allocation():
+    # An input just above the budget would need two int64 arrays of 128 MiB.
+    assert graph._header(f"#n {graph.MAX_VERTICES}", 1) == graph.MAX_VERTICES
+    for text in (f"0 {graph.MAX_VERTICES}\n", f"#n {graph.MAX_VERTICES + 1}\n0 1\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="too large"):
+                parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_byte_classes_match_str_methods():

@@ -153,7 +153,7 @@ class TestOutProb:
                     assert est.p_hat.tolist() == expected
 
     def test_block_size_leaves_estimate_unchanged(self, monkeypatch):
-        g = gen_erdos_renyi_digraph(30, 0.1, 0)
+        g = gen_erdos_renyi_digraph(30, 0.1, 0)  # within the closure's cap
         default = estimate_out_prob(g, 0, 0.5, 10, 3000, 3)
         for block in (1, 77):  # one row per block; two rows per block
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
@@ -163,17 +163,29 @@ class TestOutProb:
     @pytest.mark.parametrize("g, v", [
         *[pytest.param(gen_erdos_renyi_digraph(40, 0.08, s), v, id=f"er40-{s}-root{v}")
           for s in range(5) for v in (0, 18)],  # out-degree 0: root 0 at s = 4, 18 at s = 2
+        *[pytest.param(gen_random_regular_sym(16, 3, s), v, id=f"regular16-{s}-root{v}")
+          for s in range(2) for v in range(3)],  # the shape of the validate benchmark
         pytest.param(gen_random_regular_sym(60, 3, 1), 0, id="regular60"),
         pytest.param(gen_star_sym(50), 0, id="star50-hub"),
         pytest.param(gen_star_sym(50), 1, id="star50-leaf"),
         pytest.param(gen_path_sym(30), 0, id="path30"),
         pytest.param(DiGraph(1, []), 0, id="one-vertex"),
+        # Both sides of the closure's cap, WORD_VERTICES = 63 vertices.
+        pytest.param(gen_path_sym(63), 0, id="path63"),  # 62 rounds at p = 1
+        pytest.param(gen_erdos_renyi_digraph(63, 0.05, 1), 0, id="er63"),
+        pytest.param(DiGraph(63, [(u, 0) for u in range(1, 63)]), 0, id="in-star63-hub"),
+        pytest.param(gen_path_sym(64), 0, id="path64"),
+        pytest.param(gen_erdos_renyi_digraph(64, 0.05, 1), 0, id="er64"),
+        pytest.param(DiGraph(64, [(u, 0) for u in range(1, 64)]), 0, id="in-star64-hub"),
     ])
     def test_matches_capped_dfs(self, g, v, monkeypatch):
         # Bitwise against one capped depth-first search per trial, with the
-        # trials in one block, one row per block, and a few rows per block.
+        # trials in one block, one row per block, and a few rows per block,
+        # through the kernel that the graph's size selects.
         from conftest import capped_dfs_out_prob
 
+        unused = "_search_counts" if g.n <= percolation.WORD_VERTICES else "_closure_counts"
+        monkeypatch.setattr(percolation, unused, lambda *args: pytest.fail(f"{unused} ran"))
         for block in (percolation.BLOCK_ENTRIES, 1, 77, 1000):
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             for m_max in (1, 2, 20, g.n + 1):
@@ -194,6 +206,18 @@ class TestOutProb:
         tracemalloc.start()
         try:
             estimate_out_prob(g, 0, 0.9, m_max, 3000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_closure_memory_is_bounded(self):
+        # The largest graph the closure takes, with every vertex reaching
+        # every other.
+        g = gen_complete_sym(percolation.WORD_VERTICES)
+        tracemalloc.start()
+        try:
+            estimate_out_prob(g, 0, 0.9, g.n, 200000, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
