@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import GraphStructureError, ParseError
 
@@ -410,13 +411,55 @@ def _symmetric_arcs(g):
 
 def is_robustly_strongly_connected(g):
     """True iff g is strongly connected and stays so after deleting either
-    member of any symmetric arc pair (one at a time)."""
+    member of any symmetric arc pair (one at a time).
+
+    Only the pairs whose edge is a bridge of the symmetric skeleton (the
+    undirected graph of the symmetric pairs) need a check: any other edge
+    {u, v} lies on a skeleton cycle, whose arcs give u a path to v that
+    avoids u->v, and v one to u that avoids v->u.  Each bridge arc costs
+    one strong-component solve, and the first failure ends the checks.
+    """
     if not is_strongly_connected(g):
         return False
-    for drop in np.concatenate(_symmetric_arcs(g)).tolist():
+    aid, bid = _symmetric_arcs(g)
+    bridge = _skeleton_bridges(g.n, g.tails[aid], g.heads[aid])
+    for drop in np.concatenate((aid[bridge], bid[bridge])).tolist():
         keep = np.ones(g.n_arcs, dtype=bool)
         keep[drop] = False
         ncomp, _ = _scc_labels(g.n, g.tails[keep], g.heads[keep])
         if ncomp != 1:
             return False
     return True
+
+
+def _skeleton_bridges(n, u, v):
+    """Which edges {u[i], v[i]} of a simple undirected graph on n vertices
+    are bridges, as a boolean array.
+
+    One depth-first search, from a virtual root n that points at the
+    lowest vertex of each component with an edge, orients tree edges from
+    parent to child and every other edge, which joins a vertex to one of
+    its ancestors, from the later to the earlier preorder.  An edge is a
+    bridge iff its ends fall in different strong components of that
+    orientation (Robbins 1939; Tarjan 1974).  SciPy's search rescans a
+    vertex's list each time it returns to it, so it takes O(sum of
+    squared degrees) steps.
+    """
+    if len(u) == 0:
+        return np.zeros(0, dtype=bool)
+    t, h = np.concatenate((u, v)), np.concatenate((v, u))
+    _, comp = _cc(csr_matrix((np.ones(len(t), dtype=np.int8), (t, h)), shape=(n, n)),
+                  directed=False)
+    _, lowest = np.unique(comp, return_index=True)
+    roots = lowest[np.isin(lowest, t)]
+    rooted = csr_matrix((np.ones(len(t) + len(roots), dtype=np.int8),
+                         (np.concatenate((t, np.full(len(roots), n))),
+                          np.concatenate((h, roots)))), shape=(n + 1, n + 1))
+    order, parent = depth_first_order(rooted, n, directed=True, return_predecessors=True)
+    pre = np.zeros(n + 1, dtype=np.int64)
+    pre[order] = np.arange(len(order))
+    first = pre[u] < pre[v]
+    early, late = np.where(first, u, v), np.where(first, v, u)
+    tree = parent[late] == early
+    _, labels = _scc_labels(n, np.where(tree, early, late), np.where(tree, late, early))
+    return labels[u] != labels[v]

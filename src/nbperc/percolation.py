@@ -30,7 +30,7 @@ from .graph import _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Entries per block: uniforms drawn by estimate_out_prob, or the vertices
+# Entries per block: uniforms drawn by _out_probs, or the vertices
 # and arcs of the trials or grid points that one sweep block measures.
 # Bounds their memory at a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
@@ -383,14 +383,26 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     and a search round scans at most BLOCK_ENTRIES arcs, unless one trial
     alone needs more.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0,1]")
+    return _out_probs(g, v, (p,), m_max, trials, seed)[0]
+
+
+def _out_probs(g, v, ps, m_max, trials, seed):
+    """estimate_out_prob(g, v, p, m_max, trials, seed) for each p of ps, in
+    order, from one pass over the draws.
+
+    The stream trial_rng(seed, v) does not depend on p, so each block of
+    uniforms is drawn once and serves every p: the open sets of p are the
+    draws below p, one p at a time.
+    """
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability {p} outside [0,1]")
     if m_max < 1 or trials < 1:
         raise ValueError("m_max and trials must be >= 1")
     rng = trial_rng(seed, v)
     n = g.n
     heads, ptr = g.heads[g.out_order], g.out_ptr
-    size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
+    size_hist = np.zeros((len(ps), m_max + 1), dtype=np.int64)  # index: p, capped reach size
     # A search round scans the arcs of at most m_max - 1 distinct vertices
     # per trial.  The closure takes the same blocks.
     widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
@@ -406,19 +418,28 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     while remaining > 0:
         batch = min(rows, remaining)
         remaining -= batch
-        opens = rng.random((batch, n)) < p
-        if closure:
-            count = _closure_counts(tables, v, m_max, opens)
-        else:
-            count = _search_counts(ptr, heads, v, m_max, opens, stamp)
-        size_hist += np.bincount(np.minimum(count, m_max), minlength=m_max + 1)
+        draws = rng.random((batch, n))
+        for i, (hist, p) in enumerate(zip(size_hist, ps)):
+            opens = draws < p
+            if i == len(ps) - 1:
+                # The last kernel runs with the draws freed: one-p calls
+                # run about a tenth faster than with them held.
+                del draws
+            if closure:
+                count = _closure_counts(tables, v, m_max, opens)
+            else:
+                count = _search_counts(ptr, heads, v, m_max, opens, stamp)
+            hist += np.bincount(np.minimum(count, m_max), minlength=m_max + 1)
     # P-hat_m = fraction of trials with capped size >= m.
-    at_least = np.cumsum(size_hist[::-1])[::-1]
+    at_least = np.cumsum(size_hist[:, ::-1], axis=1)[:, ::-1]
     m_values = np.arange(1, m_max + 1)
-    p_hat = at_least[1:] / trials
-    stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return OutProbEstimate(vertex=v, p=float(p), trials=trials,
-                           m_values=m_values, p_hat=p_hat, stderr=stderr)
+    estimates = []
+    for p, counts in zip(ps, at_least):
+        p_hat = counts[1:] / trials
+        stderr = np.sqrt(p_hat * (1.0 - p_hat) / trials)
+        estimates.append(OutProbEstimate(vertex=v, p=float(p), trials=trials,
+                                         m_values=m_values.copy(), p_hat=p_hat, stderr=stderr))
+    return estimates
 
 
 def _closure_tables(g):

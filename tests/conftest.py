@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the production code paths: dense
 eigensolves go through numpy, reachability through boolean closure, walk
 counts through explicit enumeration over arc sequences, out-component
-probabilities through one capped depth-first search per trial, and sweep
-statistics through one strong-component solve per grid point.
+probabilities through one capped depth-first search per trial, sweep
+statistics through one strong-component solve per grid point, and robust
+strong connectivity through one strong-component solve per symmetric arc.
 """
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from nbperc import DiGraph, gen_complete_sym, gen_cycle, gen_path_sym, gen_star_sym
+from nbperc.graph import _scc_labels, _symmetric_arcs, is_strongly_connected
 from nbperc.percolation import STAT_NAMES, sample_open_set, trial_rng
 
 
@@ -109,6 +111,20 @@ def brute_closed_nb_walks(g, s):
         return total
 
     return sum(count_from(e, e, s) for e in range(m))
+
+
+def brute_robust(g):
+    """is_robustly_strongly_connected by deleting each member of every
+    symmetric pair in turn and re-solving the whole graph."""
+    if not is_strongly_connected(g):
+        return False
+    for drop in np.concatenate(_symmetric_arcs(g)).tolist():
+        keep = np.ones(g.n_arcs, dtype=bool)
+        keep[drop] = False
+        ncomp, _ = _scc_labels(g.n, g.tails[keep], g.heads[keep])
+        if ncomp != 1:
+            return False
+    return True
 
 
 def capped_dfs_out_prob(g, v, p, m_max, trials, seed):

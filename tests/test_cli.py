@@ -138,6 +138,45 @@ class TestAnalyze:
         _, out, _ = run_cli(["analyze", c3_file], capsys)
         assert json.loads(json.dumps(json.loads(out))) == json.loads(out)
 
+    # The graph section per input, recorded when the robust flag still came
+    # from one whole-graph solve per symmetric arc: n, n_arcs,
+    # symmetric_pair_count, scc_count, robustly_strongly_connected and
+    # olg_strongly_connected.
+    @pytest.mark.parametrize("source, expected", [
+        (["regular", "100", "3"], (100, 300, 150, 1, True, True)),
+        (["regular", "100", "3", "--seed", "5"], (100, 300, 150, 1, True, True)),
+        (["regular", "1666", "3"], (1666, 4998, 2499, 1, True, True)),
+        (["tree", "40"], (40, 78, 39, 1, False, False)),
+        (["tree", "40", "--seed", "3"], (40, 78, 39, 1, False, False)),
+        (["path", "10"], (10, 18, 9, 1, False, False)),
+        (["star", "6"], (7, 12, 6, 1, False, False)),
+        (["cycle", "5"], (5, 5, 0, 1, True, True)),
+        (["complete", "4"], (4, 12, 6, 1, True, True)),
+        (["er", "12", "0.3", "--seed", "0"], (12, 35, 4, 2, False, False)),
+        (["er", "12", "0.3", "--seed", "1"], (12, 37, 6, 2, False, False)),
+        (["er", "12", "0.3", "--seed", "2"], (12, 43, 4, 1, False, False)),
+        (["er", "12", "0.3", "--seed", "3"], (12, 35, 4, 1, True, True)),
+        (["er", "12", "0.3", "--seed", "4"], (12, 32, 1, 1, True, True)),
+        (["er", "12", "0.3", "--seed", "5"], (12, 37, 8, 1, True, True)),
+        (["er", "12", "0.3", "--seed", "6"], (12, 36, 6, 1, False, False)),
+        (["er", "12", "0.3", "--seed", "7"], (12, 35, 4, 1, False, False)),
+        # The skeleton edge 0-1 is a bridge, bypassed by 0->2->1 and 1->3->0.
+        ("#n 4\n0 1\n1 0\n0 2\n2 1\n1 3\n3 0\n", (4, 6, 1, 1, True, True)),
+        # Bypassed one way only.
+        ("#n 3\n0 1\n1 0\n0 2\n2 1\n", (3, 4, 1, 1, False, False)),
+    ])
+    def test_graph_section(self, source, expected, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        if isinstance(source, str):
+            path.write_text(source)
+        else:
+            assert run_cli(["gen", *source, "-o", str(path)], capsys)[0] == 0
+        code, out, _ = run_cli(["analyze", str(path), "--format", "json"], capsys)
+        assert code == 0
+        keys = ("n", "n_arcs", "symmetric_pair_count", "scc_count",
+                "robustly_strongly_connected", "olg_strongly_connected")
+        assert json.loads(out)["graph"] == dict(zip(keys, expected))
+
 
 class TestSimulate:
     def test_trivial_row(self, c3_file, capsys):
@@ -224,6 +263,19 @@ class TestBoundsCheck:
         )
         row = out.splitlines()[1]
         assert "void" in row
+
+    def test_unbounded_p_between_bounded_ones(self, tmp_path, capsys):
+        # norm_row = 2, so p = 0.6 has no Theorem-1 bound: its row is void,
+        # and the rows around it read as when they are checked alone.
+        path = str(tmp_path / "g.txt")
+        run_cli(["gen", "regular", "16", "3", "--seed", "4", "-o", path], capsys)
+        check = ["bounds-check", path, "--trials", "3000", "--seed", "2"]
+        code, out, _ = run_cli([*check, "--p", "0.1,0.6,0.3"], capsys)
+        assert code == 0
+        header, low, void, high = out.splitlines()
+        assert void.split(",")[:4] == ["0.6", "", "0.0", "void"]
+        for p, row in (("0.1", low), ("0.3", high)):
+            assert run_cli([*check, "--p", p], capsys)[1] == f"{header}\n{row}\n"
 
     def test_no_roots_is_void(self, tmp_path, capsys):
         # An empty graph has no root to test the bound on.

@@ -8,8 +8,12 @@ import pytest
 from nbperc import (
     DiGraph,
     build_hashimoto,
+    gen_complete_sym,
     gen_erdos_renyi_digraph,
+    gen_path_sym,
     gen_random_regular_sym,
+    gen_random_tree_sym,
+    gen_star_sym,
     induced_subgraph,
     is_robustly_strongly_connected,
     parse_edge_list,
@@ -19,9 +23,10 @@ from nbperc import (
 )
 from nbperc import graph
 from nbperc.errors import GraphStructureError, ParseError
+from nbperc.generators import _sym_arcs
 from nbperc.graph import _parse_bytes, _parse_lines
 
-from conftest import arc_pairs, brute_scc_partition
+from conftest import arc_pairs, brute_robust, brute_scc_partition
 
 
 class TestParse:
@@ -394,6 +399,14 @@ class TestSymmetricPairs:
         assert {arcs[a], arcs[b]} == {(0, 2), (2, 0)}
 
 
+def _sym(n, edges):
+    return DiGraph(n, _sym_arcs(edges))
+
+
+def _k4_edges(first):
+    return [(first + i, first + j) for i in range(4) for j in range(i + 1, 4)]
+
+
 class TestRobustStrongConnectivity:
     def test_complete_sym_true(self, k4sym):
         assert is_robustly_strongly_connected(k4sym)
@@ -410,6 +423,145 @@ class TestRobustStrongConnectivity:
             g = gen_erdos_renyi_digraph(8, 0.3, seed)
             expected = _nx_robust(g)
             assert is_robustly_strongly_connected(g) == expected
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    @pytest.mark.parametrize("density", (0.2, 0.3, 0.45, 0.6))
+    def test_matches_per_arc_solves_on_er(self, n, density):
+        for seed in range(8):
+            g = gen_erdos_renyi_digraph(n, density, seed)
+            assert is_robustly_strongly_connected(g) == brute_robust(g)
+
+    @pytest.mark.parametrize("g, expected", [
+        pytest.param(gen_path_sym(6), False, id="path"),
+        pytest.param(gen_star_sym(5), False, id="star"),
+        pytest.param(gen_random_tree_sym(30, 2), False, id="tree"),
+        pytest.param(_sym(6, [(i, (i + 1) % 6) for i in range(6)]), True, id="cycle"),
+        pytest.param(gen_complete_sym(4), True, id="K4"),
+        # Two K4s joined by the bridge 3-4.
+        pytest.param(_sym(8, [*_k4_edges(0), *_k4_edges(4), (3, 4)]), False, id="two-K4-bridge"),
+        pytest.param(_sym(8, [*_k4_edges(0), *_k4_edges(4), (3, 4), (0, 7)]), True,
+                     id="two-K4-two-edges"),
+        pytest.param(gen_random_regular_sym(40, 3, 1), True, id="regular3"),
+        pytest.param(_sym(2, [(0, 1)]), False, id="one-edge"),
+    ])
+    def test_fully_symmetric_families(self, g, expected):
+        # With every arc paired, the predicate is "connected and bridgeless".
+        assert brute_robust(g) == expected
+        assert is_robustly_strongly_connected(g) == expected
+
+    @pytest.mark.parametrize("arcs, expected", [
+        # The bridge 0-1 with a one-way detour each way: 0->2->1, 1->3->0.
+        pytest.param([(0, 1), (1, 0), (0, 2), (2, 1), (1, 3), (3, 0)], True, id="both-ways"),
+        # A detour 0->2->1 only: deleting 1->0 cuts 1 off from 0.
+        pytest.param([(0, 1), (1, 0), (0, 2), (2, 1), (1, 3), (3, 1)], False, id="one-way"),
+        # A symmetric path 0-1-2 closed by the one-way cycle 2->3->0, 0->4->2.
+        pytest.param([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (0, 4), (4, 2)], True,
+                     id="path-closed-both-ways"),
+        pytest.param([(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)], False,
+                     id="path-closed-one-way"),
+    ])
+    def test_bridge_bypassed_by_one_way_arcs(self, arcs, expected):
+        g = DiGraph(max(max(a) for a in arcs) + 1, arcs)
+        assert brute_robust(g) == expected
+        assert is_robustly_strongly_connected(g) == expected
+
+    def test_skeleton_with_several_components(self):
+        # Two detour gadgets, 0-1 and 4-5, joined by 2->4 and 6->0: the
+        # skeleton has two edges, each its own component, and four
+        # isolated vertices.
+        gadget = [(0, 1), (1, 0), (0, 2), (2, 1), (1, 3), (3, 0)]
+        arcs = gadget + [(t + 4, h + 4) for t, h in gadget] + [(2, 4), (6, 0)]
+        g = DiGraph(8, arcs)
+        assert brute_robust(g)
+        assert is_robustly_strongly_connected(g)
+        # Dropping the detour 5->7->4 leaves 4-5 bypassed one way only.
+        g = DiGraph(8, [a for a in arcs if a not in ((5, 7), (7, 4))] + [(5, 6)])
+        assert not brute_robust(g)
+        assert not is_robustly_strongly_connected(g)
+
+    def test_random_skeletons_with_several_components(self):
+        # A directed Hamiltonian cycle keeps each graph strongly connected;
+        # symmetric pairs inside a few disjoint clusters give skeletons of
+        # several components, with isolated vertices between them.
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(150):
+            n = int(rng.integers(6, 14))
+            perm = rng.permutation(n).tolist()
+            arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+            for cluster in np.array_split(rng.permutation(n), int(rng.integers(2, 4))):
+                for u in cluster.tolist():
+                    for v in cluster.tolist():
+                        if u < v and rng.random() < 0.5:
+                            arcs |= {(u, v), (v, u)}
+            for _ in range(int(rng.integers(0, n))):
+                u, v = rng.integers(0, n, 2).tolist()
+                if u != v:
+                    arcs.add((u, v))
+            g = DiGraph(n, sorted(arcs))
+            expected = brute_robust(g)
+            seen.add(expected)
+            assert is_robustly_strongly_connected(g) == expected
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("g, expected", [
+        pytest.param(DiGraph(0, []), True, id="n0"),
+        pytest.param(DiGraph(1, []), True, id="n1"),
+        pytest.param(DiGraph(2, []), False, id="n2-no-arcs"),
+        pytest.param(DiGraph(3, [(0, 1), (1, 0)]), False, id="isolated-vertex"),
+    ])
+    def test_tiny_graphs(self, g, expected):
+        assert brute_robust(g) == expected
+        assert is_robustly_strongly_connected(g) == expected
+
+    @pytest.mark.parametrize("small, large", [
+        pytest.param(gen_random_regular_sym(100, 3, 0), gen_random_regular_sym(1666, 3, 0),
+                     id="regular3"),
+        pytest.param(gen_random_tree_sym(40, 0), gen_random_tree_sym(400, 0), id="tree"),
+    ])
+    def test_solve_count_does_not_grow_with_n(self, small, large, monkeypatch):
+        # Per-arc re-solves made 4,998 strong-component solves on the
+        # 1,666-vertex graph; the bridge pass makes a fixed few.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return cc(*args, **kwargs)
+
+        cc = graph._cc
+        expected = [brute_robust(g) for g in (small, large)]
+        monkeypatch.setattr(graph, "_cc", counted)
+        counts = []
+        for g, flag in zip((small, large), expected):
+            calls.clear()
+            assert is_robustly_strongly_connected(g) == flag
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+class TestSkeletonBridges:
+    def test_matches_networkx(self):
+        import networkx as nx
+
+        rng = np.random.default_rng(5)
+        for k in range(300):
+            n = int(rng.integers(1, 30))
+            G = nx.gnm_random_graph(n, int(rng.integers(0, 2 * n)), seed=k)
+            edges = np.array(list(G.edges()), dtype=np.int64).reshape(-1, 2)
+            flags = graph._skeleton_bridges(n, edges[:, 0], edges[:, 1])
+            found = {frozenset(e) for e, f in zip(edges.tolist(), flags) if f}
+            assert found == {frozenset(e) for e in nx.bridges(G)}
+
+    def test_edge_orientation_does_not_matter(self):
+        u = np.array([0, 1, 2, 3, 2], dtype=np.int64)
+        v = np.array([1, 2, 0, 2, 4], dtype=np.int64)
+        expected = [False, False, False, True, True]
+        assert graph._skeleton_bridges(5, u, v).tolist() == expected
+        assert graph._skeleton_bridges(5, v, u).tolist() == expected
+
+    def test_no_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert graph._skeleton_bridges(4, empty, empty).tolist() == []
 
 
 def _nx_robust(g):

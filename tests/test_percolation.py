@@ -195,6 +195,43 @@ class TestOutProb:
                     assert est.p_hat.tobytes() == p_hat.tobytes()
                     assert est.stderr.tobytes() == stderr.tobytes()
 
+    @pytest.mark.parametrize("g", [
+        pytest.param(gen_random_regular_sym(16, 3, 4), id="regular16"),
+        pytest.param(gen_erdos_renyi_digraph(63, 0.05, 1), id="er63"),
+        pytest.param(gen_erdos_renyi_digraph(64, 0.05, 1), id="er64"),
+        pytest.param(gen_star_sym(80), id="star80-hub"),
+    ])
+    def test_p_list_matches_one_call_per_p(self, g, monkeypatch):
+        # One draw per block for the whole p list, unsorted with repeats
+        # and both ends, is bitwise the same as one call per p, whichever
+        # kernel the graph's size selects and however many blocks the
+        # trials span; and the same as one capped depth-first search per
+        # trial.
+        from conftest import capped_dfs_out_prob
+
+        ps = (0.6, 0.0, 0.35, 1.0, 0.35, 0.15)
+        oracle = {p: capped_dfs_out_prob(g, 0, p, 12, 400, 7) for p in ps}
+        name = "_closure_counts" if g.n <= percolation.WORD_VERTICES else "_search_counts"
+        kernel, calls = getattr(percolation, name), []
+        monkeypatch.setattr(percolation, name, lambda *a: calls.append(None) or kernel(*a))
+        for block, blocks in ((percolation.BLOCK_ENTRIES, 1), (1, 400), (2000, 2)):
+            monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
+            calls.clear()
+            together = percolation._out_probs(g, 0, ps, 12, 400, 7)
+            assert len(calls) >= blocks * len(ps)  # one kernel run per block and p
+            assert len(together) == len(ps)
+            for p, est in zip(ps, together):
+                alone = estimate_out_prob(g, 0, p, 12, 400, 7)
+                assert (est.vertex, est.p, est.trials) == (0, p, 400)
+                assert est.m_values.tobytes() == alone.m_values.tobytes()
+                assert est.p_hat.tobytes() == alone.p_hat.tobytes()
+                assert est.stderr.tobytes() == alone.stderr.tobytes()
+                assert est.p_hat.tobytes() == oracle[p][0].tobytes()
+
+    def test_p_list_is_checked(self, c3):
+        with pytest.raises(ValueError, match="probability 1.5 outside"):
+            percolation._out_probs(c3, 0, (0.5, 1.5), 3, 10, 0)
+
     @pytest.mark.parametrize("g, m_max", [
         pytest.param(gen_complete_sym(200), 200, id="complete200"),
         pytest.param(gen_star_sym(5000), 5001, id="star5000-hub"),
