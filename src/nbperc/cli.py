@@ -41,7 +41,7 @@ from .generators import (
     gen_star_sym,
 )
 from .graph import (
-    _arc_lines,
+    _arc_bytes,
     _symmetric_arcs,
     is_robustly_strongly_connected,
     parse_edge_list,
@@ -66,8 +66,10 @@ CURVES = ("theorem1_out", "theorem1_in", "improved_out", "sac_closed", "sac_trac
 
 
 def _input_digest(g):
-    payload = f"{g.n}\n" + _arc_lines(g)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """sha256 of f"{n}\n" and the arcs' "t h" lines, without a final newline."""
+    digest = hashlib.sha256(f"{g.n}\n".encode("ascii"))
+    digest.update(memoryview(_arc_bytes(g.tails, g.heads))[:-1])
+    return digest.hexdigest()
 
 
 def _fmt(x):

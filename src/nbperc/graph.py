@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,7 +32,8 @@ class DiGraph:
             (out_order is a stable argsort of tails).
 
     These arrays are the whole representation; callers that walk the
-    graph slice them.
+    graph slice them.  ``pattern`` and ``strong_labels`` are derived from
+    them on first use and cached.
     """
 
     def __init__(self, n, arcs):
@@ -90,6 +92,22 @@ class DiGraph:
     @property
     def n_arcs(self):
         return len(self.tails)
+
+    @cached_property
+    def pattern(self):
+        """Adjacency as an n x n CSR matrix of float64 ones, built from the
+        out-CSR.  Its rows are sorted by head: SciPy numbers strong
+        components in search order, and sorted rows keep the numbering of a
+        matrix built from (tail, head) pairs."""
+        pattern = _csr_pattern(self.n, self.out_ptr, self.heads[self.out_order])
+        pattern.sort_indices()
+        return pattern
+
+    @cached_property
+    def strong_labels(self):
+        """(component count, read-only int64 label per vertex) of the strong
+        components; every strong-component query on the graph reads it."""
+        return _strong_labels(self.pattern)
 
     def out_degree(self, v):
         return int(self.out_ptr[v + 1] - self.out_ptr[v])
@@ -307,31 +325,80 @@ def _parse_lines(text, undirected):
     return DiGraph(max_id + 1 if declared_n is None else declared_n, list(arcs))
 
 
-def _arc_lines(g):
-    """"t h" per arc in arc order, newline-separated, no final newline."""
-    pairs = np.stack([g.tails, g.heads], 1).ravel().tolist()
-    return ("%d %d\n" * g.n_arcs % tuple(pairs))[:-1]
+# The bulk formatter's tables, as uint32 words in memory byte order:
+# "0000" to "9999" in ASCII, and _BLANK[b], which ANDed with a word clears
+# its first b bytes, for b in 0..4.
+_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode("ascii"), np.uint32)
+_BLANK = np.frombuffer(b"".join(b"\0" * b + b"\xff" * (4 - b) for b in range(5)), np.uint32)
+# Arcs per block of the bulk formatter: its temporaries take about 150
+# bytes per arc, so a block bounds them to about 10 MB.
+_FORMAT_BLOCK = 1 << 16
+
+
+def _arc_bytes(tails, heads):
+    """The ASCII bytes of "%d %d\n" % (t, h) for every arc, in arc order,
+    from two arrays of non-negative ids, formatted in blocks of
+    _FORMAT_BLOCK arcs."""
+    return b"".join(_format_block(tails[i:i + _FORMAT_BLOCK], heads[i:i + _FORMAT_BLOCK])
+                    for i in range(0, len(tails), _FORMAT_BLOCK))
+
+
+def _format_block(tails, heads):
+    """_arc_bytes of one block.
+
+    Each id is written as zero-padded groups of four digits, one _QUADS
+    lookup per group, then a word holding its separator and three NULs.
+    The padding zeros are cleared to NUL, and bytes.translate drops every
+    NUL at once.
+    """
+    ids = np.stack([tails, heads], 1)
+    width = len(str(int(ids.max())))
+    groups = -(-width // 4)
+    field = np.empty(ids.shape + (groups + 1,), dtype=np.uint32)
+    field[:, 0, groups] = ord(" ")
+    field[:, 1, groups] = ord("\n")
+    digits = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=np.int64), ids, side="right")
+    lead = 4 * groups - digits  # padding zeros before each id's first digit
+    rest = ids
+    for k in range(groups - 1, -1, -1):  # group k holds the digits 4k..4k+3 of the field
+        rest, low = np.divmod(rest, 10_000)
+        field[:, :, k] = _QUADS[low] & _BLANK[np.clip(lead - 4 * k, 0, 4)]
+    return field.tobytes().translate(None, b"\0")
 
 
 def serialize_edge_list(g):
     """Inverse of parse_edge_list (directed form); preserves arc order."""
-    return f"#n {g.n}\n" + (_arc_lines(g) + "\n" if g.n_arcs else "")
+    return f"#n {g.n}\n" + _arc_bytes(g.tails, g.heads).decode("ascii")
+
+
+def _csr_pattern(size, ptr, cols):
+    """size x size CSR matrix of float64 ones whose row r holds the columns
+    cols[ptr[r]:ptr[r + 1]], stored in that order."""
+    return csr_matrix((np.ones(len(cols)), cols, ptr), shape=(size, size))
+
+
+def _strong_labels(pattern):
+    """(component count, read-only int64 labels) of the strong components of
+    a sparse matrix's digraph, by compiled sparse graph machinery.  No row
+    may hold a column twice: SciPy's solve never returns on one."""
+    if pattern.shape[0] == 0:
+        ncomp, labels = 0, np.zeros(0, dtype=np.int64)
+    else:
+        ncomp, labels = _cc(pattern, directed=True, connection="strong")
+        labels = labels.astype(np.int64)
+    labels.flags.writeable = False
+    return ncomp, labels
 
 
 def _scc_labels(n, tails, heads):
-    """Raw strong-component labels via compiled sparse graph machinery."""
-    if n == 0:
-        return 0, np.zeros(0, dtype=np.int64)
-    m = csr_matrix(
-        (np.ones(len(tails), dtype=np.int8), (tails, heads)), shape=(n, n)
-    )
-    ncomp, labels = _cc(m, directed=True, connection="strong")
-    return ncomp, labels.astype(np.int64)
+    """_strong_labels of the digraph on n vertices with the given arcs."""
+    return _strong_labels(csr_matrix(
+        (np.ones(len(tails), dtype=np.int8), (tails, heads)), shape=(n, n)))
 
 
 def strongly_connected_components(g):
     """Label maximal mutually-reachable vertex sets and order the condensation."""
-    ncomp, labels = _scc_labels(g.n, g.tails, g.heads)
+    ncomp, labels = g.strong_labels
     sizes = np.bincount(labels, minlength=ncomp)
     # Condensation arcs: comp(tail) -> comp(head) where labels differ.
     order = _topo_order(ncomp, labels[g.tails], labels[g.heads])
@@ -362,10 +429,7 @@ def _topo_order(ncomp, comp_t, comp_h):
 
 
 def is_strongly_connected(g):
-    if g.n == 0:
-        return True
-    ncomp, _ = _scc_labels(g.n, g.tails, g.heads)
-    return ncomp == 1
+    return g.n == 0 or g.strong_labels[0] == 1
 
 
 def induced_subgraph(g, open_vertices):

@@ -1,22 +1,25 @@
 """Non-backtracking transition operator on arcs and its oriented line graph.
 
-The operator is stored matrix-free as flat transition arrays: arc v
-follows arc u = i->j iff tail(v) = j and head(v) != i.  Those transitions
-are exactly the arcs of the oriented line graph (OLG), so one structure
-serves both roles.
+The operator is stored as flat transition arrays: arc v follows arc
+u = i->j iff tail(v) = j and head(v) != i.  Those transitions are exactly
+the arcs of the oriented line graph (OLG), so one structure serves both
+roles.  A CSR pattern of the transitions and the OLG's strong components
+are derived on first use and cached.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .graph import DiGraph, _offsets, _split
+from .graph import DiGraph, _csr_pattern, _offsets, _split, _strong_labels
 
 EXACT_TRACE_CAP = 5000
 
 
 class HashimotoOperator:
-    """Matrix-free non-backtracking operator of a simple digraph.
+    """Non-backtracking operator of a simple digraph.
 
     ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
     int64 arrays, ordered by u then by v's arc id.
@@ -32,21 +35,35 @@ class HashimotoOperator:
     def dim(self):
         return self.n_arcs
 
+    @cached_property
+    def pattern(self):
+        """The transitions as an n_arcs x n_arcs CSR matrix of float64 ones,
+        row u holding the arcs that follow u.  pair_u is sorted and pair_v
+        ascends within each u, so the rows need no sort.  Its products sum
+        each entry's terms in pair order, bitwise as np.bincount does."""
+        return _csr_pattern(self.n_arcs, _offsets(self.pair_u, self.n_arcs), self.pair_v)
+
+    @cached_property
+    def strong_labels(self):
+        """(component count, read-only int64 label per arc) of the OLG's
+        strong components; every strong-component query on H reads it."""
+        return _strong_labels(self.pattern)
+
     def apply(self, x):
         """y_v = sum over u with v following u of x_u (forward transition)."""
-        return self._push(x, self.pair_u, self.pair_v)
+        return self.pattern.T @ self._checked(x)
 
     def apply_transpose(self, x):
         """y_u = sum over v following u of x_v (reverse transition)."""
-        return self._push(x, self.pair_v, self.pair_u)
+        return self.pattern @ self._checked(x)
 
-    def _push(self, x, src, dst):
+    def _checked(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_arcs,):
             raise DimensionMismatchError(
                 f"expected vector of length {self.n_arcs}, got shape {x.shape}"
             )
-        return np.bincount(dst, weights=x[src], minlength=self.n_arcs)
+        return x
 
 
 def build_hashimoto(g):

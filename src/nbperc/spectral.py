@@ -14,17 +14,21 @@ inverse iteration.  Whatever proposed the vector, every reported value is
 the bracket of a positive vector.  An acyclic (nilpotent) operator
 is detected structurally and reported as an exact zero.  One solve of H
 also yields OLG strong connectivity and the left Perron vector.
+
+The blocks come from the operator's cached strong labeling, and every
+product is a sparse matrix product that sums each entry's terms in pair
+order, so it is bitwise equal to np.bincount(dst, weights=x[src]).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
 from .errors import NonConvergenceError, NotStronglyConnectedError
-from .graph import DiGraph, _scc_labels
+from .graph import DiGraph
 from .hashimoto import HashimotoOperator, build_hashimoto
 
 DEFAULT_TOL = 1e-10
@@ -69,15 +73,30 @@ def _operator_pairs(op):
     raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
-def _arpack_candidate(k, src, dst, x, max_iter):
-    """ARPACK's estimate |Re v| of the Perron vector of one block, started
+def _pair_matrix(k, src, dst):
+    """k x k matrix B of the pairs src -> dst (B[dst, src] = 1) kept in pair
+    order: COO products sum each entry's terms in stored order, so B @ x
+    is bitwise equal to np.bincount(dst, weights=x[src], minlength=k)."""
+    return coo_matrix((np.ones(len(src)), (dst, src)), shape=(k, k))
+
+
+def _forward(op):
+    """B of a whole operator.  H's transposed pattern sums in pair order
+    since its pairs are sorted by u; A's out-CSR lists arcs by tail, not by
+    arc id, so A keeps its arcs in arc order."""
+    if isinstance(op, HashimotoOperator):
+        return op.pattern.T
+    return _pair_matrix(op.n, op.tails, op.heads)
+
+
+def _arpack_candidate(b, x, max_iter):
+    """ARPACK's estimate |Re v| of the Perron vector of one block B, started
     from ``x`` with about ``max_iter`` matrix-vector products; None when
     ARPACK fails or the estimate has a non-positive entry.  The fixed
     ``rng`` draws the restart vector after a breakdown, so the estimate is
     the same in every run."""
-    op = LinearOperator(
-        (k, k), matvec=lambda v: np.bincount(dst, weights=v[src], minlength=k), dtype=float
-    )
+    k = b.shape[0]
+    op = LinearOperator((k, k), matvec=b.dot, dtype=float)
     try:
         v = eigs(op, k=1, which="LR", v0=x, ncv=min(ARPACK_NCV, k),
                  maxiter=max(1, max_iter // ARPACK_NCV), tol=0, rng=0)[1]
@@ -87,11 +106,11 @@ def _arpack_candidate(k, src, dst, x, max_iter):
     return v / v.sum() if (v > 0).all() else None
 
 
-def _perron(k, src, dst, tol, max_iter):
-    """Certified Perron root bracket and vector of one irreducible block.
+def _perron(b, tol, max_iter):
+    """Certified Perron root bracket and vector of one irreducible block B.
 
-    Collatz-Wielandt: for positive x and (Bx)_v = sum of x_u over the
-    pairs u -> v,  min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i.
+    Collatz-Wielandt: for positive x,
+    min_i (Bx)_i / x_i  <=  rho(B)  <=  max_i (Bx)_i / x_i.
     Up to ``max_iter`` shifted power steps x <- (B + I)x, the first one
     from the uniform vector and the rest, if it leaves the bracket open,
     from ARPACK's positive estimate when there is one; then, while the
@@ -100,28 +119,29 @@ def _perron(k, src, dst, tol, max_iter):
     sum_j B^j / sigma^(j+1), is positive with B's Perron vector, so x
     stays positive and every bracket certified.  Returns (lo, hi, x, steps).
     """
+    k = b.shape[0]
     x = np.full(k, 1.0 / k)
     lo, hi = 0.0, float(k)
     for it in range(1, max_iter + 1):
-        y = np.bincount(dst, weights=x[src], minlength=k) + x
+        y = b @ x + x
         r = y / x
         lo, hi = float(r.min()) - 1.0, float(r.max()) - 1.0
         x = y / y.sum()
         if hi - lo < tol:
             return lo, hi, x, it
         if it == 1 and k > 2:  # ARPACK needs dim >= 3 for one eigenpair
-            cand = _arpack_candidate(k, src, dst, x, max_iter)
+            cand = _arpack_candidate(b, x, max_iter)
             x = x if cand is None else cand
-    b = csc_matrix((np.ones(len(src)), (dst, src)), shape=(k, k))
     eye = identity(k, format="csc")
+    b_csc = b.tocsc()
     for it in range(max_iter + 1, max_iter + INVERSE_STEPS + 1):
         try:
-            y = splu((hi + (hi - lo)) * eye - b).solve(x)
+            y = splu((hi + (hi - lo)) * eye - b_csc).solve(x)
         except RuntimeError:  # the shift met an eigenvalue by rounding
             break
         if not (y > 0).all():
             break
-        r = np.bincount(dst, weights=y[src], minlength=k) / y
+        r = (b @ y) / y
         lo, hi = max(lo, float(r.min())), min(hi, float(r.max()))
         x = y / y.sum()
         if hi - lo < tol:
@@ -136,22 +156,15 @@ def _smallest_block_member(labels, sizes):
     return int(np.flatnonzero(labels == int(np.argmin(sizes)))[0])
 
 
-def _solve(op, tol, max_iter):
-    """Label the blocks of ``op`` once and run _perron on each nontrivial
-    one; a bracket still wider than ``tol`` raises NonConvergenceError.
-    Returns (SpectralRadiusResult, a member of the smallest block or None,
-    the Perron vector when ``op`` is a single block else None)."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+def _blocks(op, ncomp, labels, nontrivial):
+    """B of each nontrivial block of ``op``, in label order.  A single
+    block is the whole operator, used as it is; the others are relabelled
+    to 0..size-1 in vertex order."""
+    if ncomp == 1:
+        if len(nontrivial):
+            yield _forward(op)
+        return
     dim, src, dst = _operator_pairs(op)
-    if max_iter is None:
-        max_iter = 10 * dim + 1000
-    ncomp, labels = _scc_labels(dim, src, dst)
-    sizes = np.bincount(labels, minlength=ncomp)
-    nontrivial = np.flatnonzero(sizes > 1)
-    best_lo = best_hi = 0.0
-    total_it, converged, inverse = 0, True, False
-    x = np.ones(1)  # the Perron vector of a one-element operator
     comp_src = labels[src]
     same = comp_src == labels[dst]
     for comp in nontrivial:
@@ -159,9 +172,28 @@ def _solve(op, tol, max_iter):
         members = np.flatnonzero(labels == comp)
         local = np.full(dim, -1, dtype=np.int64)
         local[members] = np.arange(len(members))
-        lo, hi, x, it = _perron(
-            len(members), local[src[mask]], local[dst[mask]], tol, max_iter
-        )
+        yield _pair_matrix(len(members), local[src[mask]], local[dst[mask]])
+
+
+def _solve(op, tol, max_iter):
+    """Run _perron on each nontrivial block of ``op``, from its cached
+    strong labeling; a bracket still wider than ``tol`` raises
+    NonConvergenceError.  Returns (SpectralRadiusResult, a member of the
+    smallest block or None, the Perron vector when ``op`` is a single
+    block else None)."""
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    dim = _operator_pairs(op)[0]
+    if max_iter is None:
+        max_iter = 10 * dim + 1000
+    ncomp, labels = op.strong_labels
+    sizes = np.bincount(labels, minlength=ncomp)
+    nontrivial = np.flatnonzero(sizes > 1)
+    best_lo = best_hi = 0.0
+    total_it, converged, inverse = 0, True, False
+    x = np.ones(1)  # the Perron vector of a one-element operator
+    for b in _blocks(op, ncomp, labels, nontrivial):
+        lo, hi, x, it = _perron(b, tol, max_iter)
         total_it += it
         converged &= hi - lo < tol
         inverse |= it > max_iter
@@ -206,7 +238,7 @@ def induced_norms(h):
 def olg_strongly_connected(h):
     """Check strong connectivity of the oriented line graph; returns
     (flag, offending_arc_id or None)."""
-    ncomp, labels = _scc_labels(h.n_arcs, h.pair_u, h.pair_v)
+    ncomp, labels = h.strong_labels
     arc_id = _smallest_block_member(labels, np.bincount(labels, minlength=ncomp))
     return arc_id is None, arc_id
 

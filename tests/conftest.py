@@ -48,6 +48,17 @@ def arc_pairs(g):
     return list(zip(g.tails.tolist(), g.heads.tolist()))
 
 
+def grid_edge_text(side):
+    """Edge list of the side x side grid that lists every horizontal edge
+    before any vertical one.  Read with --undirected, an interior vertex
+    gets its in-arcs from its left, right, upper and lower neighbours in
+    that arc order, which is not tail order."""
+    ids = np.arange(side * side).reshape(side, side)
+    pairs = [(ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])]
+    return "".join(f"{u} {v}\n" for a, b in pairs
+                   for u, v in zip(a.ravel().tolist(), b.ravel().tolist()))
+
+
 def dense_hashimoto(g):
     """Dense 0/1 non-backtracking matrix built straight from the rule."""
     m = g.n_arcs

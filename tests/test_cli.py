@@ -3,12 +3,17 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nbperc import cli, graph
-from nbperc.cli import main
+from nbperc import cli, graph, spectral
+from nbperc.cli import build_analysis_document, main
+from nbperc.generators import gen_erdos_renyi_digraph, gen_random_regular_sym
+from nbperc.graph import MAX_VERTICES, DiGraph, parse_edge_list
+
+from conftest import grid_edge_text
 
 
 def run_cli(args, capsys):
@@ -329,6 +334,98 @@ class TestGoldenBytes:
              "--trials", "20", "--roots", "0,1", "--m-max", "20", "--format", "json"],
             capsys,
         ) == "d780057169066b8b0b4e7d3c3ecf90dbfe0f9193c54709eb474948b0691e1231"
+
+    def test_analyze_grid_digest(self, tmp_path, capsys, monkeypatch):
+        # rho_A sums the in-arcs of each vertex in arc-id order.  An
+        # interior vertex's four in-arcs are out of tail order here, and
+        # summing them by tail moves rho_A in its last digits.  The ARPACK
+        # candidate runs for both operators, so its products are pinned too.
+        path = tmp_path / "grid.txt"
+        path.write_text(grid_edge_text(8))
+        shapes = []
+        real = spectral.eigs
+
+        def counted(a, **kwargs):
+            shapes.append(a.shape)
+            return real(a, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigs", counted)
+        code, out, _ = run_cli(["analyze", str(path), "--undirected", "--format", "json"], capsys)
+        assert code == 0
+        assert shapes == [(224, 224), (64, 64)]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a2e8973054fd269387eafecacd2b34402c39220245dd89f03a4eedcc900bddb8")
+
+
+def _old_digest(n, tails, heads):
+    """input_digest as the arcs' "%d %d" text formats it, one arc at a time."""
+    lines = "\n".join("%d %d" % arc for arc in zip(tails.tolist(), heads.tolist()))
+    return hashlib.sha256(f"{n}\n{lines}".encode("ascii")).hexdigest()
+
+
+class TestInputDigest:
+    """The bulk formatter hashes the bytes of the "%d %d" text."""
+
+    def test_ids_of_every_length(self):
+        # A DiGraph of MAX_VERTICES vertices would allocate 256 MiB of
+        # offsets; the digest reads only n, tails and heads.
+        ids = [0] + [d for k in range(1, 8) for d in (10 ** k - 1, 10 ** k)] + [MAX_VERTICES - 1]
+        tails = np.array(ids, dtype=np.int64)
+        heads = tails[::-1].copy()
+        g = SimpleNamespace(n=MAX_VERTICES, tails=tails, heads=heads)
+        assert cli._input_digest(g) == _old_digest(g.n, tails, heads)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(DiGraph(0, []), id="n0"),
+        pytest.param(DiGraph(5, []), id="no-arcs"),
+        pytest.param(DiGraph(11, [(10, 0)]), id="one-arc"),
+        pytest.param(parse_edge_list("0 1\n1 12\n12 105\n105 0\n", undirected=True),
+                     id="undirected"),
+        pytest.param(gen_erdos_renyi_digraph(300, 0.02, 3), id="er"),
+    ])
+    def test_graphs(self, g):
+        assert cli._input_digest(g) == _old_digest(g.n, g.tails, g.heads)
+
+    def test_document_digest(self, c3_file):
+        with open(c3_file) as fh:
+            g = parse_edge_list(fh.read())
+        doc = build_analysis_document(g, [0.5])
+        assert doc["input_digest"] == _old_digest(3, g.tails, g.heads)
+
+
+class TestSolveCount:
+    """An analyze labels the strong components of g once and of H once.
+    The robust check's re-solves on its own arc subsets come on top."""
+
+    @staticmethod
+    def strong_solves(g, monkeypatch):
+        """(shape, stored arcs) of each strong-component solve that
+        build_analysis_document makes on g."""
+        calls = []
+        real = graph._cc
+
+        def counted(csgraph, *args, **kwargs):
+            if kwargs.get("connection") == "strong":
+                calls.append((csgraph.shape, csgraph.nnz))
+            return real(csgraph, *args, **kwargs)
+
+        monkeypatch.setattr(graph, "_cc", counted)
+        build_analysis_document(g, [0.2, 0.5])
+        whole_g = ((g.n, g.n), g.n_arcs)
+        assert calls.count(whole_g) == 1
+        assert [shape for shape, _ in calls].count((g.n_arcs, g.n_arcs)) == 1
+        return [c for c in calls if c != whole_g and c[0] != (g.n_arcs, g.n_arcs)]
+
+    def test_over_the_robust_budget(self, monkeypatch):
+        g = gen_random_regular_sym(3000, 3, 0)
+        assert len(graph.symmetric_arc_pairs(g)) * g.n > cli.ROBUST_CHECK_BUDGET
+        assert self.strong_solves(g, monkeypatch) == []
+
+    def test_under_the_robust_budget(self, monkeypatch):
+        g = gen_random_regular_sym(100, 3, 0)
+        others = self.strong_solves(g, monkeypatch)
+        # The bridge pass's solves, each on fewer arcs than g.
+        assert others and all(shape == (g.n, g.n) and nnz < g.n_arcs for shape, nnz in others)
 
 
 class TestEntryPoint:

@@ -31,12 +31,12 @@ from nbperc import (
     spectral_radius,
     symmetric_arc_pairs,
 )
-from nbperc import spectral
+from nbperc import graph, spectral
 from nbperc.cli import build_analysis_document
 from nbperc.errors import NonConvergenceError, NotStronglyConnectedError
 from nbperc.spectral import DEFAULT_TOL, METHOD_INVERSE
 
-from conftest import arc_pairs, dense_adjacency, dense_hashimoto, dense_rho
+from conftest import arc_pairs, dense_adjacency, dense_hashimoto, dense_rho, grid_edge_text
 
 
 class TestSpectralRadius:
@@ -259,6 +259,74 @@ class TestDeterminism:
         assert abs(h1 - h2) < DEFAULT_TOL and abs(a1 - a2) < DEFAULT_TOL
 
 
+def _shuffled(g, seed):
+    """g with its arcs in a random order, so a head's in-arcs are seldom in
+    tail order."""
+    perm = np.random.default_rng(seed).permutation(g.n_arcs)
+    return DiGraph.from_arrays(g.n, g.tails[perm], g.heads[perm])
+
+
+PRODUCT_GRAPHS = {
+    # Many strong components of A and of H, arcs in no order.
+    **{f"er{seed}": _shuffled(gen_erdos_renyi_digraph(60, 0.04, seed), seed) for seed in range(6)},
+    # One block each, solved as a whole.
+    **{f"regular{seed}": _shuffled(gen_random_regular_sym(40, 3, seed), seed) for seed in range(2)},
+    "grid": parse_edge_list(grid_edge_text(7), undirected=True),
+    "empty": DiGraph(4, []),
+}
+
+
+def _spread(rng, k):
+    """Positive entries across 16 decades, so that summing them in another
+    order rounds differently."""
+    return rng.random(k) * 10.0 ** rng.integers(-8, 8, k)
+
+
+class TestBitwiseProducts:
+    """Every sparse product equals np.bincount(dst, weights=x[src]) bit for
+    bit: each output entry sums its terms in pair order."""
+
+    @pytest.mark.parametrize("name", list(PRODUCT_GRAPHS))
+    def test_apply_and_transpose(self, name):
+        h = build_hashimoto(PRODUCT_GRAPHS[name])
+        x = _spread(np.random.default_rng(1), h.n_arcs)
+        k = h.n_arcs
+        assert np.array_equal(h.apply(x), np.bincount(h.pair_v, weights=x[h.pair_u], minlength=k))
+        assert np.array_equal(h.apply_transpose(x),
+                              np.bincount(h.pair_u, weights=x[h.pair_v], minlength=k))
+
+    @pytest.mark.parametrize("operator", ["A", "H"])
+    @pytest.mark.parametrize("name", list(PRODUCT_GRAPHS))
+    def test_every_perron_block(self, name, operator, monkeypatch):
+        g = PRODUCT_GRAPHS[name]
+        op = g if operator == "A" else build_hashimoto(g)
+        dim, src, dst = spectral._operator_pairs(op)
+        blocks = []
+        perron = spectral._perron
+
+        def captured(b, *args):
+            blocks.append(b)
+            return perron(b, *args)
+
+        monkeypatch.setattr(spectral, "_perron", captured)
+        spectral_radius(op)
+        # The blocks in label order, relabelled in vertex order, from a
+        # solve of the (src, dst) pairs that shares nothing with op's cache.
+        ncomp, labels = graph._scc_labels(dim, src, dst)
+        comps = [c for c in range(ncomp) if (labels == c).sum() > 1]
+        assert len(blocks) == len(comps)
+        rng = np.random.default_rng(2)
+        for b, comp in zip(blocks, comps):
+            members = np.flatnonzero(labels == comp)
+            local = np.full(dim, -1, dtype=np.int64)
+            local[members] = np.arange(len(members))
+            inside = (labels[src] == comp) & (labels[dst] == comp)
+            x = _spread(rng, len(members))
+            want = np.bincount(local[dst[inside]], weights=x[local[src[inside]]],
+                               minlength=len(members))
+            assert np.array_equal(b @ x, want)
+
+
 SINGLE_SOLVE_GRAPHS = {
     "empty": DiGraph(3, []),
     "one-arc": DiGraph(2, [(0, 1)]),
@@ -320,6 +388,19 @@ class TestSingleSolve:
         want = (_nontrivial_blocks(h.n_arcs, h.pair_u, h.pair_v)
                 + _nontrivial_blocks(g.n, g.tails, g.heads))
         assert len(calls) == want
+
+    def test_left_perron_vector_solves_once(self, monkeypatch):
+        calls = []
+        real = graph._cc
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "_cc", counted)
+        h = build_hashimoto(gen_random_regular_sym(50, 3, 1))
+        left_perron_vector(h)
+        assert len(calls) == 1
 
 
 class TestAdjacency:
