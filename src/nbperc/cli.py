@@ -42,7 +42,7 @@ from .generators import (
 )
 from .graph import (
     _arc_bytes,
-    _symmetric_arcs,
+    _symmetric_pair_count,
     is_robustly_strongly_connected,
     parse_edge_list,
     serialize_edge_list,
@@ -126,7 +126,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
         _check_vertex_cap(g.n)
     h = build_hashimoto(g)
     labeling = strongly_connected_components(g)
-    sym_count = len(_symmetric_arcs(g)[0])
+    sym_count = _symmetric_pair_count(g)
     robust = is_robustly_strongly_connected(g) if sym_count * g.n <= ROBUST_CHECK_BUDGET else None
     sr = compute_spectral_report(g, h)
     br = compute_bounds_report(sr, h, p_grid)

@@ -458,6 +458,13 @@ def symmetric_arc_pairs(g):
     return list(zip(aid.tolist(), bid.tolist()))
 
 
+def _symmetric_pair_count(g):
+    """len(symmetric_arc_pairs(g)) from one sparse product: an arc whose
+    reverse is an arc too is an entry of the pattern and of its transpose,
+    and each pair gives two such entries (a graph has no self-loops)."""
+    return g.pattern.multiply(g.pattern.T).nnz // 2
+
+
 def _symmetric_arcs(g):
     """symmetric_arc_pairs as two arrays: aid[i] < bid[i] are reverse arcs."""
     if g.n_arcs == 0:

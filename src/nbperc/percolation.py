@@ -14,6 +14,12 @@ A block of trials runs this pass together, one strong-component solve per
 grid point.  An independent trial measures its grid in blocks of grid
 points: the open subgraphs of a block form one disjoint union, with one
 strong-component solve.
+
+Out-component probabilities take one of three kernels, chosen from the
+graph's size and the number of rows to count: a reach table per root
+when the open sets that hold the root are no more than the rows (at most
+VERTEX_CAP vertices), a word-parallel bitmask closure on graphs of at
+most WORD_VERTICES vertices, and a capped bulk search on larger ones.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 
+from .cycles import VERTEX_CAP
 from .errors import NoCrossingError
 from .graph import _offsets
 
@@ -376,12 +383,15 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     """Monte-Carlo estimate of P(v open and >= m open vertices reachable
     from v), for m = 1..m_max, with binomial standard errors.
 
-    Each draw block of trials goes through one kernel: graphs of at most
-    WORD_VERTICES vertices take a word-parallel closure, larger ones a
-    capped search.  A trial's count is min(reach size, m_max), which
-    leaves every P-hat exact.  A block holds at most BLOCK_ENTRIES draws,
-    and a search round scans at most BLOCK_ENTRIES arcs, unless one trial
-    alone needs more.
+    Each draw block of trials goes through one of three kernels.  A graph
+    of at most VERTEX_CAP vertices whose 2**(n-1) open sets that hold v
+    are no more than the rows to count (trials, times the p values of
+    _out_probs) reads each trial's reach from a table built once for v.
+    Other graphs of at most WORD_VERTICES vertices take a word-parallel
+    closure, larger ones a capped search.  A trial's count is min(reach
+    size, m_max), which leaves every P-hat exact.  A block holds at most
+    BLOCK_ENTRIES draws, and a search round scans at most BLOCK_ENTRIES
+    arcs, unless one trial alone needs more.
     """
     return _out_probs(g, v, (p,), m_max, trials, seed)[0]
 
@@ -409,9 +419,12 @@ def _out_probs(g, v, ps, m_max, trials, seed):
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
     rows = max(1, BLOCK_ENTRIES // max(n, widest, 1))
-    closure = n <= WORD_VERTICES
-    if closure:
-        tables = _closure_tables(g)
+    table = closure = None
+    if n <= VERTEX_CAP and 2 ** (n - 1) <= trials * len(ps):
+        # Enumerating the open sets costs no more rows than the trials.
+        table = np.minimum(_reach_table(g, v, rows), min(m_max, n))
+    elif n <= WORD_VERTICES:
+        closure = _closure_tables(g)
     else:
         stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
@@ -425,11 +438,13 @@ def _out_probs(g, v, ps, m_max, trials, seed):
                 # The last kernel runs with the draws freed: one-p calls
                 # run about a tenth faster than with them held.
                 del draws
-            if closure:
-                count = _closure_counts(tables, v, m_max, opens)
+            if table is not None:
+                count = table.take(_open_words(opens))
+            elif closure is not None:
+                count = _closure_counts(closure, v, m_max, _open_words(opens))
             else:
                 count = _search_counts(ptr, heads, v, m_max, opens, stamp)
-            hist += np.bincount(np.minimum(count, m_max), minlength=m_max + 1)
+            hist += np.bincount(count, minlength=m_max + 1)
     # P-hat_m = fraction of trials with capped size >= m.
     at_least = np.cumsum(size_hist[:, ::-1], axis=1)[:, ::-1]
     m_values = np.arange(1, m_max + 1)
@@ -440,6 +455,26 @@ def _out_probs(g, v, ps, m_max, trials, seed):
         estimates.append(OutProbEstimate(vertex=v, p=float(p), trials=trials,
                                          m_values=m_values.copy(), p_hat=p_hat, stderr=stderr))
     return estimates
+
+
+def _reach_table(g, v, rows):
+    """The number of open vertices reachable from v in every open set of
+    g (n <= VERTEX_CAP), as a uint8 array indexed by the set's word, bit
+    u for vertex u; 0 where v is closed.
+
+    The 2**(n-1) sets that hold v go through the closure rows at a time,
+    each built as a word directly: bit v inserted into a counter.
+    """
+    n = g.n
+    tables = _closure_tables(g)
+    table = np.zeros(1 << n, dtype=np.uint8)
+    below = (1 << v) - 1  # the counter's bits that stay below bit v
+    sets = 1 << (n - 1)
+    for start in range(0, sets, rows):
+        k = np.arange(start, min(start + rows, sets), dtype=np.int64)
+        words = (k & below) | ((k & ~below) << 1) | (1 << v)
+        table[words] = _closure_counts(tables, v, n, words)
+    return table
 
 
 def _closure_tables(g):
@@ -455,24 +490,31 @@ def _closure_tables(g):
     return tables
 
 
-def _closure_counts(tables, v, m_max, opens):
-    """Per row of opens, the number of open vertices reachable from v, or
-    at least m_max where that number exceeds m_max.
+def _open_words(opens):
+    """Each row of the boolean opens, at most WORD_VERTICES columns wide,
+    as one int64: bit u for vertex u."""
+    rows, n = opens.shape
+    width = 1 << (-(-n // 8) - 1).bit_length()  # bytes per row: 1, 2, 4 or 8
+    if n < 8 * width:
+        padded = np.zeros((rows, 8 * width), dtype=bool)
+        padded[:, :n] = opens
+        opens = padded
+    return np.packbits(opens, bitorder="little").view(f"<u{width}").astype(np.int64)
 
-    A row's open set is one int64, bit u for vertex u.  Each round ORs into
-    the reach of each trial whose root is open the out-masks of all its
-    reached vertices, one table lookup per byte, and keeps the open bits.
-    The rounds stop when no reach grows, or after m_max - 1 rounds: a
-    reach still growing then has grown in every round, so it holds at
-    least m_max vertices.  Trials whose root is closed count 0.
+
+def _closure_counts(tables, v, m_max, words):
+    """Per open set, one int64 word each (bit u for vertex u), the number
+    of open vertices reachable from v, capped at m_max.
+
+    Each round ORs into the reach of each set that holds v the out-masks
+    of all its reached vertices, one table lookup per byte, and keeps the
+    open bits.  The rounds stop when no reach grows, or after m_max - 1
+    rounds: a reach still growing then has grown in every round, so it
+    holds at least m_max vertices.  Sets without v count 0.
     """
     nbytes = len(tables)
-    padded = np.zeros((len(opens), 8 * nbytes), dtype=bool)  # whole bytes per row
-    padded[:, :opens.shape[1]] = opens
-    words = np.zeros((len(opens), 8), dtype=np.uint8)
-    words[:, :nbytes] = np.packbits(padded, bitorder="little").reshape(-1, nbytes)
-    live = np.flatnonzero(opens[:, v])  # the trials whose root is open
-    free = words.view("<i8").ravel()[live]  # their open sets
+    live = np.flatnonzero((words >> v) & 1)  # the sets that hold the root
+    free = words[live]
     reach = np.full(live.size, 1 << v, dtype=np.int64)
     for _ in range(m_max - 1):
         octets = reach.astype("<i8", copy=False).view(np.uint8)  # byte k: bits 8k..8k+7
@@ -484,9 +526,9 @@ def _closure_counts(tables, v, m_max, opens):
             break
         reach = grown
     octets = reach.astype("<i8", copy=False).view(np.uint8)
-    count = np.zeros(len(opens), dtype=np.int64)
+    count = np.zeros(len(words), dtype=np.int64)
     count[live] = sum(_BYTE_BITS.take(octets[k::8]) for k in range(nbytes))
-    return count
+    return np.minimum(count, m_max)
 
 
 def _search_counts(ptr, heads, v, m_max, opens, stamp):
@@ -509,7 +551,7 @@ def _search_counts(ptr, heads, v, m_max, opens, stamp):
         left = ptr[u + 1] - nxt
         live = (short > 0) & (left > 0)
         if not live.any():
-            return count
+            return np.minimum(count, m_max)  # a round can overshoot m_max
         key, u, nxt = key[live], u[live], nxt[live]
         d = np.minimum(left[live], short[live])
         ends = np.cumsum(d)

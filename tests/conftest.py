@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the production code paths: dense
 eigensolves go through numpy, reachability through boolean closure, walk
 counts through explicit enumeration over arc sequences, out-component
-probabilities through one capped depth-first search per trial, sweep
+probabilities through one capped depth-first search per trial (and,
+on small graphs, exactly from every open set), sweep
 statistics through one strong-component solve per grid point, and robust
 strong connectivity through one strong-component solve per symmetric arc.
 """
@@ -14,7 +15,7 @@ from scipy.sparse.csgraph import connected_components
 
 from nbperc import DiGraph, gen_complete_sym, gen_cycle, gen_path_sym, gen_star_sym
 from nbperc.graph import _scc_labels, _symmetric_arcs, is_strongly_connected
-from nbperc.percolation import STAT_NAMES, sample_open_set, trial_rng
+from nbperc.percolation import STAT_NAMES, _reach_table, sample_open_set, trial_rng
 
 
 @pytest.fixture
@@ -168,6 +169,19 @@ def capped_dfs_out_prob(g, v, p, m_max, trials, seed):
     at_least = np.cumsum(size_hist[::-1])[::-1]
     p_hat = at_least[1:] / trials
     return p_hat, np.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+def exact_out_prob(g, v, p, m_max):
+    """The P_m that estimate_out_prob estimates, m = 1..m_max, exactly on
+    a graph of at most VERTEX_CAP vertices: the sum of p^|w| (1-p)^(n-|w|)
+    over the open sets w that hold v and reach at least m vertices, read
+    from the reach table."""
+    table = _reach_table(g, v, 1 << g.n)
+    words = np.flatnonzero(table)  # the sets that hold v: each reaches v
+    reach = table[words]
+    size = np.unpackbits(words.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    weight = p ** size * (1.0 - p) ** (g.n - size)
+    return np.array([weight[reach >= m].sum() for m in range(1, m_max + 1)])
 
 
 def per_point_sweep_stats(g, config):

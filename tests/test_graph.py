@@ -398,6 +398,22 @@ class TestSymmetricPairs:
         arcs = arc_pairs(chord)
         assert {arcs[a], arcs[b]} == {(0, 2), (2, 0)}
 
+    @pytest.mark.parametrize("g", [
+        pytest.param(DiGraph(3, [(0, 1), (1, 2), (2, 0)]), id="cycle3"),
+        pytest.param(DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), id="chord"),
+        pytest.param(gen_path_sym(3), id="path3"),
+        pytest.param(gen_complete_sym(7), id="complete7"),
+        pytest.param(gen_star_sym(9), id="star9"),
+        pytest.param(gen_random_regular_sym(100, 3, 2), id="regular100"),
+        pytest.param(gen_random_tree_sym(40, 1), id="tree40"),
+        *[pytest.param(gen_erdos_renyi_digraph(30, d, s), id=f"er30-{d}-{s}")
+          for d in (0.05, 0.3, 0.8) for s in range(3)],
+        pytest.param(DiGraph(0, []), id="empty"),
+        pytest.param(DiGraph(4, []), id="no-arcs"),
+    ])
+    def test_count_matches_pairs(self, g):
+        assert graph._symmetric_pair_count(g) == len(symmetric_arc_pairs(g))
+
 
 def _sym(n, edges):
     return DiGraph(n, _sym_arcs(edges))

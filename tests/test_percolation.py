@@ -23,6 +23,7 @@ from nbperc import (
     trial_rng,
 )
 from nbperc import percolation
+from nbperc.cycles import VERTEX_CAP
 from nbperc.errors import NoCrossingError
 from nbperc.percolation import STAT_NAMES, ComponentStats, _block_arcs, _measure
 
@@ -109,6 +110,41 @@ class TestMeasure:
             assert st.largest_in == int(reach.sum(axis=0).max())
 
 
+def out_prob_kernel(n, rows):
+    """The kernel that _out_probs selects for n vertices and rows = trials
+    times the number of p values."""
+    if n <= VERTEX_CAP and 2 ** (n - 1) <= rows:
+        return "_reach_table"
+    return "_closure_counts" if n <= percolation.WORD_VERTICES else "_search_counts"
+
+
+def only_kernel(monkeypatch, kernel):
+    """Make every out-probability kernel but kernel fail the test, and
+    return the list that records its runs: one per table built, or one per
+    closure or search of a draw block at one p.  The table's build runs
+    the closure, which the closure kernel alone may run otherwise."""
+    real = {name: getattr(percolation, name)
+            for name in ("_reach_table", "_closure_counts", "_search_counts")}
+    calls, building = [], []
+
+    def wrap(name):
+        def run(*args):
+            if name != kernel and not (name == "_closure_counts" and building):
+                pytest.fail(f"{name} ran where {kernel} should")
+            if not building:
+                calls.append(name)
+            building.append(name == "_reach_table")
+            try:
+                return real[name](*args)
+            finally:
+                building.pop()
+        return run
+
+    for name in real:
+        monkeypatch.setattr(percolation, name, wrap(name))
+    return calls
+
+
 class TestOutProb:
     def test_p_zero(self, c3):
         est = estimate_out_prob(c3, 0, 0.0, 3, 100, 0)
@@ -184,8 +220,7 @@ class TestOutProb:
         # through the kernel that the graph's size selects.
         from conftest import capped_dfs_out_prob
 
-        unused = "_search_counts" if g.n <= percolation.WORD_VERTICES else "_closure_counts"
-        monkeypatch.setattr(percolation, unused, lambda *args: pytest.fail(f"{unused} ran"))
+        calls = only_kernel(monkeypatch, out_prob_kernel(g.n, 200))
         for block in (percolation.BLOCK_ENTRIES, 1, 77, 1000):
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             for m_max in (1, 2, 20, g.n + 1):
@@ -194,8 +229,40 @@ class TestOutProb:
                     p_hat, stderr = capped_dfs_out_prob(g, v, p, m_max, 200, 9)
                     assert est.p_hat.tobytes() == p_hat.tobytes()
                     assert est.stderr.tobytes() == stderr.tobytes()
+        assert calls
+
+    @pytest.mark.parametrize("g, trials", [
+        # Both sides of the table's rule, 2**(n-1) <= trials, with a byte
+        # boundary between 8 and 9 vertices, and past VERTEX_CAP.
+        pytest.param(DiGraph(1, []), 1, id="n1-at"),
+        pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), 127, id="n8-under"),
+        pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), 128, id="n8-at"),
+        pytest.param(gen_erdos_renyi_digraph(9, 0.3, 2), 255, id="n9-under"),
+        pytest.param(gen_erdos_renyi_digraph(9, 0.3, 2), 256, id="n9-at"),
+        pytest.param(gen_random_regular_sym(16, 3, 4), 2**15 - 1, id="n16-under"),
+        pytest.param(gen_random_regular_sym(16, 3, 4), 2**15, id="n16-at"),
+        pytest.param(gen_erdos_renyi_digraph(17, 0.2, 1), 2**16, id="n17"),
+    ])
+    def test_kernel_rule_matches_capped_dfs(self, g, trials, monkeypatch):
+        # Bitwise against one capped depth-first search per trial, on each
+        # side of the rule that picks the reach table.
+        from conftest import capped_dfs_out_prob
+
+        kernel = out_prob_kernel(g.n, trials)
+        calls = only_kernel(monkeypatch, kernel)
+        for m_max in (2, g.n + 1):
+            for p in (0.35, 0.8):
+                est = estimate_out_prob(g, 0, p, m_max, trials, 9)
+                p_hat, stderr = capped_dfs_out_prob(g, 0, p, m_max, trials, 9)
+                assert est.p_hat.tobytes() == p_hat.tobytes()
+                assert est.stderr.tobytes() == stderr.tobytes()
+        assert calls[0] == kernel
+        if kernel == "_reach_table":
+            assert len(calls) == 4  # one table per call
 
     @pytest.mark.parametrize("g", [
+        pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), id="er8"),
+        pytest.param(gen_erdos_renyi_digraph(12, 0.2, 3), id="er12"),
         pytest.param(gen_random_regular_sym(16, 3, 4), id="regular16"),
         pytest.param(gen_erdos_renyi_digraph(63, 0.05, 1), id="er63"),
         pytest.param(gen_erdos_renyi_digraph(64, 0.05, 1), id="er64"),
@@ -204,21 +271,29 @@ class TestOutProb:
     def test_p_list_matches_one_call_per_p(self, g, monkeypatch):
         # One draw per block for the whole p list, unsorted with repeats
         # and both ends, is bitwise the same as one call per p, whichever
-        # kernel the graph's size selects and however many blocks the
-        # trials span; and the same as one capped depth-first search per
-        # trial.
+        # kernel the graph's size and the row count select and however many
+        # blocks the trials span; and the same as one capped depth-first
+        # search per trial.  The 2,400 rows of the list take the table up
+        # to 12 vertices, where one p (400 rows) takes the closure.
         from conftest import capped_dfs_out_prob
 
         ps = (0.6, 0.0, 0.35, 1.0, 0.35, 0.15)
         oracle = {p: capped_dfs_out_prob(g, 0, p, 12, 400, 7) for p in ps}
-        name = "_closure_counts" if g.n <= percolation.WORD_VERTICES else "_search_counts"
-        kernel, calls = getattr(percolation, name), []
-        monkeypatch.setattr(percolation, name, lambda *a: calls.append(None) or kernel(*a))
+        kernel = out_prob_kernel(g.n, 400 * len(ps))
+        words, lookups = percolation._open_words, []
+        monkeypatch.setattr(percolation, "_open_words",
+                            lambda opens: lookups.append(None) or words(opens))
         for block, blocks in ((percolation.BLOCK_ENTRIES, 1), (1, 400), (2000, 2)):
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
-            calls.clear()
-            together = percolation._out_probs(g, 0, ps, 12, 400, 7)
-            assert len(calls) >= blocks * len(ps)  # one kernel run per block and p
+            with pytest.MonkeyPatch.context() as mp:
+                calls = only_kernel(mp, kernel)
+                lookups.clear()
+                together = percolation._out_probs(g, 0, ps, 12, 400, 7)
+            if kernel == "_reach_table":
+                assert calls == [kernel]  # one table for every block and p
+                assert len(lookups) >= blocks * len(ps)
+            else:
+                assert len(calls) >= blocks * len(ps)  # one kernel run per block and p
             assert len(together) == len(ps)
             for p, est in zip(ps, together):
                 alone = estimate_out_prob(g, 0, p, 12, 400, 7)
@@ -260,6 +335,18 @@ class TestOutProb:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_table_memory_is_bounded(self):
+        # The largest graph the table takes, with every vertex reaching
+        # every other: 2**15 sets, built a draw block's rows at a time.
+        g = gen_complete_sym(VERTEX_CAP)
+        tracemalloc.start()
+        try:
+            percolation._out_probs(g, 0, (0.1, 0.2, 0.3, 0.4, 0.45), 20, 100000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_draw_memory_is_bounded(self):
         # 20,000 trials on 2,000 vertices would be 320 MB of uniforms in
         # one draw.
@@ -271,6 +358,67 @@ class TestOutProb:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestReachTable:
+    @pytest.mark.parametrize("g", [
+        *[pytest.param(gen_erdos_renyi_digraph(8, 0.25, s), id=f"er8-{s}") for s in range(3)],
+        pytest.param(gen_erdos_renyi_digraph(7, 0.4, 5), id="er7"),
+        pytest.param(DiGraph(8, [(u, 0) for u in range(1, 8)]), id="in-star8"),
+        pytest.param(DiGraph(8, [(u, u + 1) for u in range(7)]), id="path8"),
+        pytest.param(gen_path_sym(6), id="path6-sym"),
+        pytest.param(DiGraph(1, []), id="one-vertex"),
+        pytest.param(DiGraph(2, [(0, 1)]), id="two-vertices"),
+    ])
+    def test_matches_reachability_closure(self, g):
+        # Every open set of every root, against boolean closure on the
+        # open-open arcs; built one set per block, a few per block, and in
+        # one block.
+        from conftest import reachability_closure
+
+        bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
+        for v in range(g.n):
+            expected = np.zeros(1 << g.n, dtype=np.int64)
+            for w, row in enumerate(bits.astype(bool)):
+                if row[v]:
+                    keep = row[g.tails] & row[g.heads]
+                    sub = DiGraph.from_arrays(g.n, g.tails[keep], g.heads[keep])
+                    expected[w] = reachability_closure(sub)[v].sum()
+            for rows in (1, 7, 1 << g.n):
+                table = percolation._reach_table(g, v, rows)
+                assert table.dtype == np.uint8
+                assert table.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("g, v", [
+        pytest.param(gen_erdos_renyi_digraph(12, 0.2, 0), 0, id="er12-root0"),
+        pytest.param(gen_erdos_renyi_digraph(12, 0.2, 0), 7, id="er12-root7"),
+        pytest.param(gen_erdos_renyi_digraph(10, 0.3, 4), 3, id="er10"),
+        pytest.param(DiGraph(9, [(u, 0) for u in range(1, 9)]), 0, id="in-star9-hub"),
+        pytest.param(DiGraph(9, [(u, 0) for u in range(1, 9)]), 4, id="in-star9-leaf"),
+        pytest.param(gen_path_sym(11), 5, id="path11"),
+        pytest.param(gen_random_regular_sym(16, 3, 4), 1, id="regular16"),
+        pytest.param(gen_complete_sym(5), 2, id="complete5"),
+    ])
+    def test_estimate_within_4_sigma_of_exact(self, g, v):
+        from conftest import exact_out_prob
+
+        trials = 100000
+        for p in (0.2, 0.5, 0.85):
+            exact = exact_out_prob(g, v, p, g.n + 1)
+            est = estimate_out_prob(g, v, p, g.n + 1, trials, 2024)
+            sigma = np.sqrt(exact * (1.0 - exact) / trials)
+            assert (np.abs(est.p_hat - exact) <= 4 * sigma + 1e-12).all(), (p, est.p_hat, exact)
+
+    def test_exact_theorem1_curve_on_validate_graph(self):
+        # `nbperc gen regular 16 3 --seed 4`, roots 0-2, m up to 20: the
+        # exact max_m m * P_m at three p.
+        from conftest import exact_out_prob
+
+        g = gen_random_regular_sym(16, 3, 4)
+        m = np.arange(1, 21)
+        for p, expected in ((0.1, 0.100000), (0.3, 0.396819), (0.45, 1.083044)):
+            worst = max(float((m * exact_out_prob(g, v, p, 20)).max()) for v in range(3))
+            assert round(worst, 6) == expected
 
 
 class TestSweep:
