@@ -6,7 +6,6 @@ from .bounds import (
     BoundsReport,
     compute_bounds_report,
     improved_out_bound,
-    nb_walk_generating_sum,
     out_component_probability_bound,
     pc_lower_bounds,
     sac_bound_closed,

@@ -18,7 +18,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import BoundDomainError, CapExceededError
 from .hashimoto import EXACT_TRACE_CAP, trace_powers
-from .spectral import induced_norms
 
 
 @dataclass
@@ -120,35 +119,6 @@ def sac_bound_trace(p, h, cutoff, rho_h, cap=EXACT_TRACE_CAP):
     x = p * rho_h
     head = sum((x ** s) / s for s in range(1, cutoff + 1))
     tail = h.n_arcs * max(0.0, -math.log1p(-x) - head)
-    return value, tail
-
-
-def nb_walk_generating_sum(h, v, p, cutoff, norm_row=None):
-    """Truncated generating sum of non-backtracking walk counts rooted at v.
-
-    Term m is p^m times the number of length-m NB walks whose first arc
-    leaves v (m = 0 contributes 1).  Returns (value, tail) with the
-    geometric tail certificate outdeg(v) * p^(M+1) * norm^M / (1 - p*norm).
-    Valid for p * norm_row < 1.
-    """
-    g = h.graph
-    if norm_row is None:
-        norm_row = induced_norms(h)[0]
-    _check_domain(p, norm_row, "norm_row")
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    w = np.zeros(h.n_arcs)
-    w[g.out_order[g.out_ptr[v]:g.out_ptr[v + 1]]] = 1.0
-    outdeg = g.out_degree(v)
-    value = 1.0
-    for m in range(1, cutoff + 1):
-        total = float(w.sum())
-        if total == 0.0:
-            break
-        value += (p ** m) * total
-        w = h.apply(w)
-    x = p * norm_row
-    tail = outdeg * (p ** (cutoff + 1)) * (norm_row ** cutoff) / (1.0 - x) if outdeg else 0.0
     return value, tail
 
 

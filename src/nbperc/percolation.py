@@ -7,13 +7,15 @@ mode draws one uniform per vertex per trial and reuses it across the whole
 probability grid, which makes every component statistic monotone in p
 within a trial and roughly halves threshold-location variance.
 
-A coupled trial's open subgraphs nest as p grows, so it walks its grid
-once in ascending p: each grid point contracts the previous point's strong
-components to weighted nodes, adds what opens, and solves that small graph.
-A block of trials runs this pass together, one strong-component solve per
-grid point.  An independent trial measures its grid in blocks of grid
-points: the open subgraphs of a block form one disjoint union, with one
-strong-component solve.
+One kernel measures every sweep.  A coupled trial's open subgraphs nest
+as p grows, so it walks its grid once in ascending p: each grid point
+contracts the previous point's strong components to weighted nodes, adds
+what opens, and solves that small graph.  A block of trials runs this pass
+together, one strong-component solve per grid point.  An independent
+trial's grid points are the rows of the same pass, each with its own draws
+shifted by its p onto the one grid point 0, so a block of them is one
+strong-component solve; measure_components is one row with every vertex
+open.
 
 Out-component probabilities take one of three kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
@@ -37,9 +39,10 @@ from .graph import _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Entries per block: uniforms drawn by _out_probs, or the vertices
-# and arcs of the trials or grid points that one sweep block measures.
-# Bounds their memory at a few MB whatever the grid, trial count and graph.
+# Entries per block: uniforms drawn by _out_probs, or the vertices and
+# arcs of the rows of one _nested_stats pass: the trials of a coupled
+# block or the grid points of an independent one.  Bounds their memory at
+# a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
 # The most vertices whose open set fits in one int64 with the sign bit
 # clear: up to this graph size estimate_out_prob takes the closure.
@@ -136,69 +139,42 @@ def sample_open_set(n, p, rng):
     return rng.random(n) < p
 
 
-def _measure(n_ref, out_deg, heads, draws, p, giant_fraction):
-    """Component statistics of a block of open induced subgraphs.
+def _nested_stats(n, tails, heads, draws, grid, giant):
+    """Component statistics of a block of open subgraph sequences at every
+    point of the ascending grid, in one pass.
 
-    Subgraph i opens the vertices whose draw is below p[i]; draws holds one
-    row for the whole block or one row per subgraph.  Row i of heads holds
-    the heads of the arcs sorted by tail (out_deg arcs per tail), with
-    vertex v numbered i * n + v, so the subgraphs form one disjoint union,
-    measured with one strong-component solve.
-
-    Returns a (len(p), len(STAT_NAMES)) int64 array, as _component_stats.
-    """
-    k = len(p)
-    opens = draws < np.asarray(p)[:, None]
-    row_sizes = opens.sum(axis=1)
-    if not row_sizes.any():
-        return np.zeros((k, len(STAT_NAMES)), dtype=np.int64)
-    heads = heads.ravel()
-    arcs = np.flatnonzero(np.repeat(opens, out_deg, axis=1).ravel() & opens.ravel()[heads])
-    new_id = (np.cumsum(opens, dtype=np.int32) - 1).reshape(opens.shape)  # union vertex ids
-    t2 = np.repeat(new_id, out_deg, axis=1).ravel()[arcs]  # sorted, as _offsets needs
-    h2 = new_id.ravel()[heads[arcs]]
-    del arcs, new_id  # freed before the solve
-    size = int(row_sizes.sum())
-    # The solve reads only the pattern: a broadcast 1.0 stands in for the values.
-    union = csr_matrix((np.broadcast_to(1.0, len(t2)), h2, _offsets(t2, size)),
-                       shape=(size, size))
-    ncomp, labels = _cc(union, directed=True, connection="strong")
-    comp_row = np.empty(ncomp, dtype=np.int64)
-    comp_row[labels] = np.repeat(np.arange(k), row_sizes)
-    ct, ch = labels[t2], labels[h2]
-    cross = ct != ch
-    return _component_stats(k, comp_row, np.bincount(labels, minlength=ncomp),
-                            ct[cross], ch[cross], n_ref, giant_fraction)
-
-
-def _nested_stats(n, tails, heads, draws, grid, giant_fraction):
-    """Component statistics of a block of coupled trials at every point of
-    the ascending grid, in one pass.
-
-    Row b of draws holds trial b's uniforms.  Within a trial the open
-    subgraphs nest as p grows, and a strongly connected set stays so when
-    vertices and arcs are added.  So each grid point solves a small graph:
-    the previous point's strong components as nodes weighted by their
-    sizes, the vertices that open at this point, the arcs that open with
-    them, and the previous point's arcs between components, through which
-    a new arc can close a cycle.  The trials' graphs form one disjoint
-    union, with one strong-component solve per grid point.
+    Row b of draws holds one uniform per vertex, and vertex v of row b is
+    open at the grid points above draws[b, v]; the arcs, sorted by
+    tail, are open where both ends are.  Within a row the open subgraphs
+    nest as the grid point grows, and a strongly connected set stays so
+    when vertices and arcs are added.  So each grid point solves a small
+    graph: the previous point's strong components as nodes weighted by
+    their sizes, the vertices that open at this point, the arcs that open
+    with them, and the previous point's arcs between components, through
+    which a new arc can close a cycle.  The rows' graphs form one disjoint
+    union, with one strong-component solve per grid point.  A component
+    is giant when it holds more than giant vertices.
 
     Returns a (len(draws), len(grid), len(STAT_NAMES)) int64 array, as
     _component_stats.
     """
     rows, k, m = len(draws), len(grid), len(tails)
     # The first grid index at which each vertex b * n + v and each arc
-    # b * m + a is open (k: never); a small int type gets a radix sort from
-    # the stable argsorts.
-    vstep = np.searchsorted(grid, draws, side="right").astype(np.min_scalar_type(k))
-    astep = np.maximum(vstep[:, tails], vstep[:, heads]).ravel()
-    vstep = vstep.ravel()
-    v_by_step, v_ptr = np.argsort(vstep, kind="stable"), _offsets(vstep, k + 1)
-    a_by_step, a_ptr = np.argsort(astep, kind="stable"), _offsets(astep, k + 1)
+    # b * m + a is open (k: never): the number of grid points at or below
+    # its draw.  A comparison per point runs a few times faster than
+    # searchsorted's binary search on sweep grids, and the loop below
+    # already spends a pass over the vertices per point.  A small int type
+    # gets a radix sort from the stable argsorts.
+    vstep = np.zeros(draws.shape, dtype=np.min_scalar_type(k))
+    for p in grid:
+        vstep += draws >= p
+    astep = np.maximum(vstep.take(tails, axis=1), vstep.take(heads, axis=1)).ravel()
+    v_by_step, v_ptr = _by_step(vstep.ravel(), k)
+    a_by_step, a_ptr = _by_step(astep, k)
     del vstep, astep
-    node = np.zeros(rows * n, dtype=np.int64)  # the node of each open vertex
-    sizes = node_row = ct = ch = np.zeros(0, dtype=np.int64)  # node_row: its trial
+    # The node of each open vertex, int32 as SciPy's component labels.
+    node = np.zeros(rows * n, dtype=np.int32)
+    sizes = node_row = np.zeros(0, dtype=np.int64)  # node_row: the node's row
     stats = np.zeros((k, rows, len(STAT_NAMES)), dtype=np.int64)
     for i in range(k):
         new = v_by_step[v_ptr[i]:v_ptr[i + 1]]
@@ -209,19 +185,25 @@ def _nested_stats(n, tails, heads, draws, grid, giant_fraction):
         old, nodes = len(sizes), len(sizes) + len(new)
         node[new] = np.arange(old, nodes)
         node_row = np.concatenate((node_row, new // n))
-        trial, arc = np.divmod(a_by_step[a_ptr[i]:a_ptr[i + 1]], m)
-        tail, head = node[trial * n + tails[arc]], node[trial * n + heads[arc]]
-        key = np.concatenate((ct * nodes + ch, tail * nodes + head))
-        # Sorted keys give the CSR order.  Repeats are dropped: SciPy's
-        # strong connected_components never returns on a CSR row that holds
-        # a column twice.
-        key.sort()
-        key = key[np.diff(key, prepend=-1) != 0]
-        t, h = np.divmod(key, nodes)
+        opened = a_by_step[a_ptr[i]:a_ptr[i + 1]]
+        row = opened // m  # floor division and a product: np.divmod is slower
+        arc = opened - row * m
+        row *= n
+        t, h = node[row + tails[arc]], node[row + heads[arc]]
+        if old:
+            # Sorted keys give the CSR order.  Repeats are dropped: SciPy's
+            # strong connected_components never returns on a CSR row that
+            # holds a column twice.
+            key = np.concatenate((ct, t)).astype(np.int64) * nodes + np.concatenate((ch, h))
+            key.sort()
+            key = key[np.diff(key, prepend=-1) != 0]
+            t = key // nodes
+            h = key - t * nodes
+        # Else the new nodes are numbered in vertex order and the arcs come
+        # in tail order, without repeats: already the CSR order.
         contracted = csr_matrix((np.broadcast_to(1.0, len(h)), h, _offsets(t, nodes)),
                                 shape=(nodes, nodes))
         ncomp, comp = _cc(contracted, directed=True, connection="strong")
-        comp = comp.astype(np.int64)  # SciPy returns int32; the keys need int64
         weights = np.concatenate((sizes, np.ones(len(new), dtype=np.int64)))
         sizes = np.bincount(comp, weights=weights, minlength=ncomp).astype(np.int64)
         comp_row = np.empty(ncomp, dtype=np.int64)
@@ -230,17 +212,28 @@ def _nested_stats(n, tails, heads, draws, grid, giant_fraction):
         ct, ch = comp[t], comp[h]
         cross = ct != ch
         ct, ch = ct[cross], ch[cross]
-        stats[i] = _component_stats(rows, comp_row, sizes, ct, ch, n, giant_fraction)
+        stats[i] = _component_stats(rows, comp_row, sizes, ct, ch, giant)
     return stats.transpose(1, 0, 2)
 
 
-def _component_stats(k, comp_row, sizes, ct, ch, n_ref, giant_fraction):
+def _by_step(step, k):
+    """The entries with step below k, stably sorted by step, and the CSR
+    pointer of that order over the k steps."""
+    live = np.flatnonzero(step < k)
+    if k == 1:
+        return live, np.array([0, len(live)])
+    step = step[live]
+    order = np.argsort(step, kind="stable")
+    return live[order], np.searchsorted(step[order], np.arange(k + 1))
+
+
+def _component_stats(k, comp_row, sizes, ct, ch, giant):
     """Statistics of k open subgraphs from their strong components.
 
     Component c holds sizes[c] vertices of subgraph comp_row[c], and ct[j]
     -> ch[j] are the arcs between components, repeats allowed.  Returns a
     (k, len(STAT_NAMES)) int64 array.  Sizes are absolute vertex counts;
-    "giant" means exceeding giant_fraction * n_ref.
+    "giant" means holding more than giant vertices.
     """
     # Row i's component sizes, ascending, end at ascending[ends[i] + 1]:
     # one sort of the keys row * top + size, as every size is below top.
@@ -250,8 +243,8 @@ def _component_stats(k, comp_row, sizes, ct, ch, n_ref, giant_fraction):
     ascending = np.concatenate(([0, 0], np.sort(comp_row * top + sizes) % top))
     largest = np.where(counts > 0, ascending[ends + 1], 0)
     second = np.where(counts > 1, ascending[ends], 0)
-    giant = np.bincount(comp_row[sizes > giant_fraction * n_ref], minlength=k)
-    stats = np.stack((largest, second, largest, largest, giant), axis=1)
+    giants = np.bincount(comp_row[sizes > giant], minlength=k)
+    stats = np.stack((largest, second, largest, largest, giants), axis=1)
     if len(ct):
         for col, src, dst in ((2, ct, ch), (3, ch, ct)):
             sources, masses = _source_masses(len(sizes), src, dst, sizes)
@@ -289,19 +282,11 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
     """Component statistics of an (induced) digraph with all vertices open."""
     if n_reference is None:
         n_reference = g_open.n
-    stats = _measure(n_reference, *_block_arcs(g_open, 1), np.zeros(g_open.n), (1.0,),
-                     giant_fraction)
-    return ComponentStats(*stats[0].tolist())
-
-
-def _block_arcs(g, rows):
-    """The arcs of a block of rows as _measure takes them: out-degrees,
-    and the heads of the arcs sorted by tail as a (rows, n_arcs) array
-    whose row i numbers vertex v as i * n + v."""
-    heads = g.heads[g.out_order][None, :]
-    if rows > 1:
-        heads = heads + g.n * np.arange(rows)[:, None]
-    return np.diff(g.out_ptr), heads
+    order = g_open.out_order
+    # Draws of -1 open every vertex at the one grid point 0.
+    stats = _nested_stats(g_open.n, g_open.tails[order], g_open.heads[order],
+                          np.full((1, g_open.n), -1.0), (0.0,), giant_fraction * n_reference)
+    return ComponentStats(*stats[0, 0].tolist())
 
 
 def _worker_count():
@@ -318,14 +303,20 @@ def _worker_count():
 def sweep(g, config):
     """Run the full (p_grid x trials) measurement, deterministically.
 
-    Every trial has its own seed streams, and a trial's statistics do not
-    depend on the trials it shares a block with.  Blocks of trials
-    (coupled) or single trials (independent) are the work units, and the
-    reduction order is fixed, so the result does not depend on the worker
-    count (NBPERC_THREADS)."""
+    Both modes measure through _nested_stats.  A coupled block's rows are
+    its trials, over the ascending grid.  An independent trial's rows are
+    a block of its grid points, each with its own draws shifted by its p
+    over the one-point grid 0: draw - p < 0 exactly when draw < p, as the
+    sign of a float subtraction is exact.  Every trial has its own seed
+    streams, and a trial's statistics do not depend on the trials it
+    shares a block with.  Blocks of trials (coupled) or single trials
+    (independent) are the work units, and the reduction order is fixed,
+    so the result does not depend on the worker count (NBPERC_THREADS)."""
     p_grid = tuple(float(p) for p in config.p_grid)
     n = g.n
     gf = config.giant_fraction
+    giant = gf * n
+    tails, heads = g.tails[g.out_order], g.heads[g.out_order]  # as _nested_stats takes them
     # A block of trials (coupled) or of grid points (independent) holds
     # at most BLOCK_ENTRIES vertices and arcs.
     per_block = BLOCK_ENTRIES // max(g.n_arcs, n, 1)
@@ -340,22 +331,21 @@ def sweep(g, config):
             trials = range(t0, min(t0 + rows, config.trials))
             draws = np.array([trial_rng(config.master_seed, t).random(n) for t in trials])
             stats = np.empty((len(trials), len(p_grid), len(STAT_NAMES)), dtype=np.int64)
-            stats[:, order] = _nested_stats(n, g.tails, g.heads, draws, grid, gf)
+            stats[:, order] = _nested_stats(n, tails, heads, draws, grid, giant)
             return stats
     else:
         rows = max(1, min(len(p_grid), per_block))
-        out_deg, heads = _block_arcs(g, rows)
         units = range(config.trials)
 
         def run(t):
             """Trial t, a block of grid points at a time."""
             stats = np.empty((1, len(p_grid), len(STAT_NAMES)), dtype=np.int64)
             for i in range(0, len(p_grid), rows):
-                ps = p_grid[i:i + rows]
-                k = len(ps)
+                ps = np.asarray(p_grid[i:i + rows])
                 draws = np.array([trial_rng(config.master_seed, j, t).random(n)
-                                  for j in range(i, i + k)])
-                stats[0, i:i + k] = _measure(n, out_deg, heads[:k], draws, ps, gf)
+                                  for j in range(i, i + len(ps))])
+                stats[0, i:i + len(ps)] = _nested_stats(n, tails, heads, draws - ps[:, None],
+                                                        (0.0,), giant)[:, 0]
             return stats
 
     workers = _worker_count()
@@ -404,6 +394,8 @@ def _out_probs(g, v, ps, m_max, trials, seed):
     uniforms is drawn once and serves every p: the open sets of p are the
     draws below p, one p at a time.
     """
+    if not 0 <= v < g.n:
+        raise ValueError(f"root {v} outside 0..{g.n - 1}")
     for p in ps:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p} outside [0,1]")

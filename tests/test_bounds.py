@@ -14,7 +14,6 @@ from nbperc import (
     gen_erdos_renyi_digraph,
     gen_random_regular_sym,
     improved_out_bound,
-    nb_walk_generating_sum,
     out_component_probability_bound,
     pc_lower_bounds,
     sac_bound_closed,
@@ -192,29 +191,6 @@ class TestSacLogdet:
         for p, tr, cl in zip(grid, br.sac_trace, br.sac_closed):
             assert isinstance(tr, float) and cl is not None
             assert 0.0 < tr <= cl
-
-
-class TestWalkGeneratingSum:
-    def test_path_sym_terminates(self, p3sym):
-        h = build_hashimoto(p3sym)
-        value, tail = nb_walk_generating_sum(h, 0, 0.4, 10)
-        assert value == pytest.approx(1 + 0.4 + 0.16, abs=1e-12)
-
-    def test_p_zero(self, k4sym):
-        h = build_hashimoto(k4sym)
-        value, _ = nb_walk_generating_sum(h, 0, 0.0, 5)
-        assert value == 1.0
-
-    def test_cycle_geometric(self, c3):
-        h = build_hashimoto(c3)
-        value, tail = nb_walk_generating_sum(h, 0, 0.5, 20)
-        assert value == pytest.approx(2 - 2.0 ** -20, abs=1e-12)
-        assert tail >= 0.5 ** 21 / 0.5 - 1e-15
-
-    def test_domain(self, k4sym):
-        h = build_hashimoto(k4sym)
-        with pytest.raises(BoundDomainError):
-            nb_walk_generating_sum(h, 0, 0.5, 5)
 
 
 class TestBoundsReport:

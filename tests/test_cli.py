@@ -327,13 +327,19 @@ class TestGoldenBytes:
             capsys,
         ) == "76703c079d4bdd99aff2fcc27334e03abad1b7a6fffeaccd7ce63bfaf5e6f41e"
 
+    SIMULATE = ("simulate", "--p-min", "0.3", "--p-max", "0.7", "--steps", "3",
+                "--trials", "20", "--roots", "0,1", "--m-max", "20", "--format", "json")
+
     def test_simulate_digest(self, tmp_path, capsys):
         assert self.digest(
-            tmp_path, ["regular", "200", "3", "--seed", "1"],
-            ["simulate", "--p-min", "0.3", "--p-max", "0.7", "--steps", "3",
-             "--trials", "20", "--roots", "0,1", "--m-max", "20", "--format", "json"],
-            capsys,
+            tmp_path, ["regular", "200", "3", "--seed", "1"], self.SIMULATE, capsys,
         ) == "d780057169066b8b0b4e7d3c3ecf90dbfe0f9193c54709eb474948b0691e1231"
+
+    def test_simulate_independent_digest(self, tmp_path, capsys):
+        assert self.digest(
+            tmp_path, ["regular", "200", "3", "--seed", "1"], [*self.SIMULATE, "--independent"],
+            capsys,
+        ) == "a07325cba20cac599b621c65bec178551b323bfa272ab9111be8a2148d6df7a5"
 
     def test_analyze_grid_digest(self, tmp_path, capsys, monkeypatch):
         # rho_A sums the in-arcs of each vertex in arc-id order.  An

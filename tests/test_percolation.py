@@ -11,6 +11,7 @@ from nbperc import (
     estimate_out_prob,
     estimate_threshold,
     gen_complete_sym,
+    gen_cycle,
     gen_erdos_renyi_digraph,
     gen_path_sym,
     gen_random_regular_sym,
@@ -25,7 +26,7 @@ from nbperc import (
 from nbperc import percolation
 from nbperc.cycles import VERTEX_CAP
 from nbperc.errors import NoCrossingError
-from nbperc.percolation import STAT_NAMES, ComponentStats, _block_arcs, _measure
+from nbperc.percolation import STAT_NAMES
 
 
 def grid_sym(side):
@@ -75,15 +76,21 @@ class TestMeasure:
         st = measure_components(DiGraph(0, []))
         assert st == type(st)(0, 0, 0, 0, 0)
 
+    def test_giant_count_is_relative_to_n_reference(self):
+        # 5 vertices exceed 0.1 of 5 but not 0.1 of 100.
+        c5 = gen_cycle(5)
+        assert measure_components(c5, giant_fraction=0.1).giant_count == 1
+        assert measure_components(c5, giant_fraction=0.1, n_reference=100).giant_count == 0
+
     def test_out_in_dominate_scc(self):
         for seed in range(15):
             g = gen_erdos_renyi_digraph(40, 0.06, seed)
-            draws = trial_rng(seed).random(g.n)
-            stats = _measure(g.n, *_block_arcs(g, 3), draws, (0.5, 0.7, 0.9), 0.01)
-            for row in stats:
-                st = ComponentStats(*row.tolist())
-                assert st.largest_out >= st.largest_scc
-                assert st.largest_in >= st.largest_scc
+            for coupled in (True, False):
+                config = PercolationConfig(p_grid=(0.5, 0.7, 0.9), trials=3,
+                                           master_seed=seed, coupled=coupled)
+                stats = sweep(g, config).stats
+                assert (stats["largest_out"] >= stats["largest_scc"]).all()
+                assert (stats["largest_in"] >= stats["largest_scc"]).all()
 
     def test_directed_path_reaches_every_vertex(self):
         # 50,000 one-vertex components: condensation keys of arc pairs
@@ -302,6 +309,14 @@ class TestOutProb:
                 assert est.p_hat.tobytes() == alone.p_hat.tobytes()
                 assert est.stderr.tobytes() == alone.stderr.tobytes()
                 assert est.p_hat.tobytes() == oracle[p][0].tobytes()
+
+    @pytest.mark.parametrize("n, v", [(16, 16), (16, -1), (200, 200), (200, -1)])
+    def test_root_is_checked(self, n, v):
+        # 2**15 trials on 16 vertices take the reach table; 200 vertices
+        # take the search.
+        g = gen_random_regular_sym(n, 3, 1)
+        with pytest.raises(ValueError, match=rf"root {v} outside 0\.\.{n - 1}"):
+            estimate_out_prob(g, v, 0.5, 5, 2 ** 15, 0)
 
     def test_p_list_is_checked(self, c3):
         with pytest.raises(ValueError, match="probability 1.5 outside"):
@@ -591,12 +606,14 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_coupled_block_memory_is_bounded(self):
-        # A coupled block holds at most BLOCK_ENTRIES vertices and arcs (42
-        # trials here); all 400 trials in one block would peak near 70 MB.
+    @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "independent"])
+    def test_block_memory_is_bounded(self, coupled):
+        # A block holds at most BLOCK_ENTRIES vertices and arcs (42 trials,
+        # or all 9 grid points of a trial, here); all 400 coupled trials in
+        # one block would peak near 70 MB.
         g = grid_sym(40)
         config = PercolationConfig(p_grid=tuple(np.linspace(0.4, 0.8, 9).tolist()),
-                                   trials=400, master_seed=1)
+                                   trials=400, master_seed=1, coupled=coupled)
         tracemalloc.start()
         try:
             sweep(g, config)
