@@ -41,7 +41,6 @@ from .graph import (
 from .hashimoto import (
     HashimotoOperator,
     build_hashimoto,
-    build_olg,
     trace_power,
     trace_powers,
 )

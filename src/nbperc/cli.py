@@ -41,12 +41,10 @@ from .generators import (
     gen_star_sym,
 )
 from .graph import (
-    _arc_bytes,
-    _symmetric_pair_count,
+    _arc_blocks,
     is_robustly_strongly_connected,
     parse_edge_list,
     serialize_edge_list,
-    strongly_connected_components,
 )
 from .hashimoto import build_hashimoto
 from .percolation import STAT_NAMES, PercolationConfig, _out_probs, sweep
@@ -66,9 +64,14 @@ CURVES = ("theorem1_out", "theorem1_in", "improved_out", "sac_closed", "sac_trac
 
 
 def _input_digest(g):
-    """sha256 of f"{n}\n" and the arcs' "t h" lines, without a final newline."""
+    """sha256 of f"{n}\n" and the arcs' "t h" lines, without a final newline,
+    fed one formatted block at a time."""
     digest = hashlib.sha256(f"{g.n}\n".encode("ascii"))
-    digest.update(memoryview(_arc_bytes(g.tails, g.heads))[:-1])
+    last = b""
+    for block in _arc_blocks(g.tails, g.heads):
+        digest.update(last)
+        last = block
+    digest.update(memoryview(last)[:-1])
     return digest.hexdigest()
 
 
@@ -125,8 +128,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
     if cycles_max_len is not None:
         _check_vertex_cap(g.n)
     h = build_hashimoto(g)
-    labeling = strongly_connected_components(g)
-    sym_count = _symmetric_pair_count(g)
+    sym_count = g.symmetric_pair_count
     robust = is_robustly_strongly_connected(g) if sym_count * g.n <= ROBUST_CHECK_BUDGET else None
     sr = compute_spectral_report(g, h)
     br = compute_bounds_report(sr, h, p_grid)
@@ -138,7 +140,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
             "n": g.n,
             "n_arcs": g.n_arcs,
             "symmetric_pair_count": sym_count,
-            "scc_count": labeling.count,
+            "scc_count": g.strong_labels[0],
             "robustly_strongly_connected": robust,
             "olg_strongly_connected": sr.olg_strongly_connected,
         },

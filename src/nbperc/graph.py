@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
-from scipy.sparse.csgraph import depth_first_order
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
 from .errors import GraphStructureError, ParseError
 
@@ -32,8 +32,8 @@ class DiGraph:
             (out_order is a stable argsort of tails).
 
     These arrays are the whole representation; callers that walk the
-    graph slice them.  ``pattern`` and ``strong_labels`` are derived from
-    them on first use and cached.
+    graph slice them.  ``pattern``, ``symmetric_pair_count`` and
+    ``strong_labels`` are derived from them on first use and cached.
     """
 
     def __init__(self, n, arcs):
@@ -104,9 +104,26 @@ class DiGraph:
         return pattern
 
     @cached_property
+    def symmetric_pair_count(self):
+        """len(symmetric_arc_pairs(g)) from one sparse product: an arc whose
+        reverse is an arc too is an entry of the pattern and of its
+        transpose, and each pair gives two such entries (a graph has no
+        self-loops)."""
+        return self.pattern.multiply(self.pattern.T).nnz // 2
+
+    @cached_property
     def strong_labels(self):
         """(component count, read-only int64 label per vertex) of the strong
-        components; every strong-component query on the graph reads it."""
+        components; every strong-component query on the graph reads it.
+
+        A fully symmetric graph (every arc's reverse is an arc) is strongly
+        connected iff it is connected, so when one breadth-first search
+        from vertex 0 reaches every vertex the labels are all 0 without a
+        strong-component solve.  Any other graph is solved."""
+        if (self.n and 2 * self.symmetric_pair_count == self.n_arcs
+                and len(breadth_first_order(self.pattern, 0, return_predecessors=False))
+                == self.n):
+            return _one_component(self.n)
         return _strong_labels(self.pattern)
 
     def out_degree(self, v):
@@ -335,16 +352,16 @@ _BLANK = np.frombuffer(b"".join(b"\0" * b + b"\xff" * (4 - b) for b in range(5))
 _FORMAT_BLOCK = 1 << 16
 
 
-def _arc_bytes(tails, heads):
+def _arc_blocks(tails, heads):
     """The ASCII bytes of "%d %d\n" % (t, h) for every arc, in arc order,
-    from two arrays of non-negative ids, formatted in blocks of
+    from two arrays of non-negative ids, yielded in blocks of
     _FORMAT_BLOCK arcs."""
-    return b"".join(_format_block(tails[i:i + _FORMAT_BLOCK], heads[i:i + _FORMAT_BLOCK])
-                    for i in range(0, len(tails), _FORMAT_BLOCK))
+    for i in range(0, len(tails), _FORMAT_BLOCK):
+        yield _format_block(tails[i:i + _FORMAT_BLOCK], heads[i:i + _FORMAT_BLOCK])
 
 
 def _format_block(tails, heads):
-    """_arc_bytes of one block.
+    """_arc_blocks of one block.
 
     Each id is written as zero-padded groups of four digits, one _QUADS
     lookup per group, then a word holding its separator and three NULs.
@@ -368,7 +385,7 @@ def _format_block(tails, heads):
 
 def serialize_edge_list(g):
     """Inverse of parse_edge_list (directed form); preserves arc order."""
-    return f"#n {g.n}\n" + _arc_bytes(g.tails, g.heads).decode("ascii")
+    return f"#n {g.n}\n" + b"".join(_arc_blocks(g.tails, g.heads)).decode("ascii")
 
 
 def _csr_pattern(size, ptr, cols):
@@ -388,6 +405,13 @@ def _strong_labels(pattern):
         labels = labels.astype(np.int64)
     labels.flags.writeable = False
     return ncomp, labels
+
+
+def _one_component(size):
+    """_strong_labels of a strongly connected digraph on size >= 1 vertices."""
+    labels = np.zeros(size, dtype=np.int64)
+    labels.flags.writeable = False
+    return 1, labels
 
 
 def _scc_labels(n, tails, heads):
@@ -456,13 +480,6 @@ def symmetric_arc_pairs(g):
     """
     aid, bid = _symmetric_arcs(g)
     return list(zip(aid.tolist(), bid.tolist()))
-
-
-def _symmetric_pair_count(g):
-    """len(symmetric_arc_pairs(g)) from one sparse product: an arc whose
-    reverse is an arc too is an entry of the pattern and of its transpose,
-    and each pair gives two such entries (a graph has no self-loops)."""
-    return g.pattern.multiply(g.pattern.T).nnz // 2
 
 
 def _symmetric_arcs(g):

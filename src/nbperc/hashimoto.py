@@ -4,7 +4,8 @@ The operator is stored as flat transition arrays: arc v follows arc
 u = i->j iff tail(v) = j and head(v) != i.  Those transitions are exactly
 the arcs of the oriented line graph (OLG), so one structure serves both
 roles.  A CSR pattern of the transitions and the OLG's strong components
-are derived on first use and cached.
+are derived on first use and cached; the components come from g's
+structure where a theorem settles them, and from a solve otherwise.
 """
 from __future__ import annotations
 
@@ -13,9 +14,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .graph import DiGraph, _csr_pattern, _offsets, _split, _strong_labels
+from .graph import _csr_pattern, _offsets, _one_component, _split, _strong_labels
 
 EXACT_TRACE_CAP = 5000
+# Transition budget: the most candidate transitions, sum over arcs of
+# out-degree(head), that build_hashimoto takes.  An analyze peaks at about
+# 45 bytes per candidate (stars of up to 2,500 leaves), so this budget
+# keeps its peak near 1.9 GB.
+MAX_TRANSITIONS = 40_000_000
 
 
 class HashimotoOperator:
@@ -46,7 +52,25 @@ class HashimotoOperator:
     @cached_property
     def strong_labels(self):
         """(component count, read-only int64 label per arc) of the OLG's
-        strong components; every strong-component query on H reads it."""
+        strong components; every strong-component query on H reads it.
+
+        The OLG is strongly connected, and its labels all 0, without a
+        solve when g has an arc and either
+        (a) g is fully symmetric and strongly connected, every out-degree
+            is at least 2 and n_arcs > 2n: H of a connected undirected
+            graph of minimum degree 2 is irreducible iff the graph is not
+            a cycle, and a cycle has n_arcs = 2n (Terras, Zeta Functions
+            of Graphs, 2011); or
+        (b) g has no symmetric pair and is strongly connected: no
+            transition is then dropped, so H is the adjacency of g's line
+            graph, and a walk e, ..., f of g joins any arcs e and f.
+        Any other operator is solved."""
+        g = self.graph
+        rule_a = (2 * g.symmetric_pair_count == g.n_arcs and g.n_arcs > 2 * g.n
+                  and np.diff(g.out_ptr).min() >= 2)
+        rule_b = g.symmetric_pair_count == 0
+        if self.n_arcs and (rule_a or rule_b) and g.strong_labels[0] == 1:
+            return _one_component(self.n_arcs)
         return _strong_labels(self.pattern)
 
     def apply(self, x):
@@ -69,9 +93,18 @@ class HashimotoOperator:
 def build_hashimoto(g):
     """The non-backtracking rule on arrays: the candidates after arc u are
     the arcs leaving head(u), listed per u in out-CSR (arc-id) order; the
-    one that returns to tail(u) is dropped."""
+    one that returns to tail(u) is dropped.
+
+    More than MAX_TRANSITIONS candidates raise CapExceededError before
+    any candidate-sized array is allocated."""
     first = g.out_ptr[g.heads]
     fan = g.out_ptr[g.heads + 1] - first
+    candidates = int(fan.sum())
+    if candidates > MAX_TRANSITIONS:
+        raise CapExceededError(
+            f"operator needs up to {candidates} transitions, over the budget "
+            f"MAX_TRANSITIONS = {MAX_TRANSITIONS}"
+        )
     # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
     # Loading a graph peaks here, so at most three candidate-sized arrays
     # are alive at once: u is built only to be compressed.
@@ -81,13 +114,6 @@ def build_hashimoto(g):
     keep = g.heads[v] != np.repeat(g.tails, fan)
     return HashimotoOperator(g, np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep],
                              v[keep])
-
-
-def build_olg(g):
-    """Oriented line graph: one vertex per arc of g, arcs per allowed
-    non-backtracking succession.  Its adjacency matrix equals the operator."""
-    h = g if isinstance(g, HashimotoOperator) else build_hashimoto(g)
-    return DiGraph.from_arrays(h.n_arcs, h.pair_u, h.pair_v)
 
 
 def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):

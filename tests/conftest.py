@@ -1,7 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the production code paths: dense
-eigensolves go through numpy, reachability through boolean closure, walk
+eigensolves go through numpy, the non-backtracking matrix and the
+oriented line graph through the rule on every pair of arcs, reachability
+through boolean closure, walk
 counts through explicit enumeration over arc sequences, out-component
 probabilities through one capped depth-first search per trial (and,
 on small graphs, exactly from every open set), sweep
@@ -70,6 +72,14 @@ def dense_hashimoto(g):
             if jp == j and l != i:
                 mat[u, v] = 1.0
     return mat
+
+
+def build_olg(g):
+    """Oriented line graph straight from the rule: one vertex per arc of g
+    and an arc u -> v for every arc v that may follow arc u."""
+    arcs = arc_pairs(g)
+    return DiGraph(len(arcs), [(u, v) for u, (i, j) in enumerate(arcs)
+                               for v, (jp, l) in enumerate(arcs) if jp == j and l != i])
 
 
 def dense_adjacency(g):

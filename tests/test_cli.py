@@ -105,6 +105,15 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("nbperc: error: Unable to allocate")
 
+    @pytest.mark.parametrize("command", [["analyze"], ["bounds-check", "--p", "0.1"]])
+    def test_transition_budget_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "star.txt"
+        assert run_cli(["gen", "star", "10000", "-o", str(path)], capsys)[0] == 0
+        code, out, err = run_cli([command[0], str(path), *command[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert "100010000 transitions" in err and "MAX_TRANSITIONS" in err
+
     def test_cycles_census(self, c3_file, capsys):
         code, out, _ = run_cli(["analyze", c3_file, "--cycles", "3"], capsys)
         doc = json.loads(out)
@@ -392,6 +401,21 @@ class TestInputDigest:
     def test_graphs(self, g):
         assert cli._input_digest(g) == _old_digest(g.n, g.tails, g.heads)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, graph._FORMAT_BLOCK])
+    @pytest.mark.parametrize("g", [
+        pytest.param(DiGraph(0, []), id="n0"),
+        pytest.param(DiGraph(5, []), id="no-arcs"),
+        pytest.param(DiGraph(11, [(10, 0)]), id="one-arc"),
+        pytest.param(gen_erdos_renyi_digraph(30, 0.1, 3), id="er"),
+    ])
+    def test_streamed_blocks_hash_the_serialized_text(self, g, block, monkeypatch):
+        # The serialized text is "#n <n>\n" and the arc lines; the digest
+        # drops "#n " and the last arc line's newline.
+        header, _, arcs = graph.serialize_edge_list(g).partition("\n")
+        expected = hashlib.sha256(f"{header[3:]}\n{arcs[:-1]}".encode("ascii")).hexdigest()
+        monkeypatch.setattr(graph, "_FORMAT_BLOCK", block)
+        assert cli._input_digest(g) == expected
+
     def test_document_digest(self, c3_file):
         with open(c3_file) as fh:
             g = parse_edge_list(fh.read())
@@ -400,13 +424,16 @@ class TestInputDigest:
 
 
 class TestSolveCount:
-    """An analyze labels the strong components of g once and of H once.
-    The robust check's re-solves on its own arc subsets come on top."""
+    """An analyze labels the strong components of g at most once and of H
+    at most once, and not at all where the graph's structure settles them:
+    a connected 3-regular graph settles both.  The robust check's
+    re-solves on its own arc subsets come on top."""
 
     @staticmethod
-    def strong_solves(g, monkeypatch):
+    def strong_solves(g, monkeypatch, whole=0):
         """(shape, stored arcs) of each strong-component solve that
-        build_analysis_document makes on g."""
+        build_analysis_document makes on g, other than the ``whole``
+        solves each of g and of H that it must make."""
         calls = []
         real = graph._cc
 
@@ -418,8 +445,8 @@ class TestSolveCount:
         monkeypatch.setattr(graph, "_cc", counted)
         build_analysis_document(g, [0.2, 0.5])
         whole_g = ((g.n, g.n), g.n_arcs)
-        assert calls.count(whole_g) == 1
-        assert [shape for shape, _ in calls].count((g.n_arcs, g.n_arcs)) == 1
+        assert calls.count(whole_g) == whole
+        assert [shape for shape, _ in calls].count((g.n_arcs, g.n_arcs)) == whole
         return [c for c in calls if c != whole_g and c[0] != (g.n_arcs, g.n_arcs)]
 
     def test_over_the_robust_budget(self, monkeypatch):
@@ -432,6 +459,23 @@ class TestSolveCount:
         others = self.strong_solves(g, monkeypatch)
         # The bridge pass's solves, each on fewer arcs than g.
         assert others and all(shape == (g.n, g.n) and nnz < g.n_arcs for shape, nnz in others)
+
+    def test_mixed_graph_solves_g_and_h_once(self, monkeypatch):
+        g = gen_erdos_renyi_digraph(300, 0.02, 3)
+        assert 0 < 2 * g.symmetric_pair_count < g.n_arcs
+        self.strong_solves(g, monkeypatch, whole=1)
+
+
+def test_analyze_builds_no_condensation_order(tmp_path, capsys, monkeypatch):
+    # analyze prints only the component count, so it never needs the
+    # Python topological sort of the condensation.
+    monkeypatch.setattr(graph, "_topo_order", lambda *args: pytest.fail("_topo_order"))
+    g = gen_erdos_renyi_digraph(300, 0.01, 1)
+    path = tmp_path / "er.txt"
+    path.write_text(graph.serialize_edge_list(g))
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["graph"]["scc_count"] == g.strong_labels[0] > 1
 
 
 class TestEntryPoint:

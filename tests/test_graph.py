@@ -412,7 +412,7 @@ class TestSymmetricPairs:
         pytest.param(DiGraph(4, []), id="no-arcs"),
     ])
     def test_count_matches_pairs(self, g):
-        assert graph._symmetric_pair_count(g) == len(symmetric_arc_pairs(g))
+        assert g.symmetric_pair_count == len(symmetric_arc_pairs(g))
 
 
 def _sym(n, edges):

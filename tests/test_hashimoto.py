@@ -4,18 +4,28 @@ import numpy as np
 import pytest
 
 from nbperc import (
+    DiGraph,
     build_hashimoto,
-    build_olg,
+    gen_cycle,
     gen_erdos_renyi_digraph,
+    gen_path_sym,
     gen_random_regular_sym,
+    gen_random_tree_sym,
+    gen_star_sym,
+    left_perron_vector,
+    olg_strongly_connected,
     strongly_connected_components,
     symmetric_arc_pairs,
     trace_power,
     trace_powers,
 )
-from nbperc.errors import CapExceededError, DimensionMismatchError
+from nbperc import graph, hashimoto
+from nbperc.errors import CapExceededError, DimensionMismatchError, NotStronglyConnectedError
+from nbperc.generators import _sym_arcs
+from nbperc.graph import _strong_labels
+from nbperc.spectral import _smallest_block_member
 
-from conftest import arc_pairs, dense_hashimoto
+from conftest import arc_pairs, build_olg, dense_hashimoto
 
 
 def successors(h, u):
@@ -101,6 +111,30 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 8 * candidates
+
+    def test_transition_budget_checked_before_the_build(self):
+        # 10^8 candidates would take about 4.5 GB; the check reads only
+        # two arc-sized arrays.
+        g = gen_star_sym(10000)
+        candidates = int(np.diff(g.out_ptr)[g.heads].sum())
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as err:
+                build_hashimoto(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert str(candidates) in str(err.value)
+        assert str(hashimoto.MAX_TRANSITIONS) in str(err.value)
+
+    def test_transition_budget_is_inclusive(self, k4sym, monkeypatch):
+        candidates = int(np.diff(k4sym.out_ptr)[k4sym.heads].sum())
+        monkeypatch.setattr(hashimoto, "MAX_TRANSITIONS", candidates)
+        assert len(build_hashimoto(k4sym).pair_u) == 24
+        monkeypatch.setattr(hashimoto, "MAX_TRANSITIONS", candidates - 1)
+        with pytest.raises(CapExceededError):
+            build_hashimoto(k4sym)
 
 
 
@@ -225,3 +259,159 @@ class TestTrace:
         h = build_hashimoto(k4sym)
         with pytest.raises(CapExceededError):
             trace_power(h, 3, cap=5)
+
+
+def _sym(n, edges):
+    return DiGraph(n, _sym_arcs(edges))
+
+
+def _cycle_edges(vertices):
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def _lattice(side):
+    ids = np.arange(side * side).reshape(side, side)
+    edges = [(int(a), int(b)) for x, y in [(ids[:, :-1], ids[:, 1:]), (ids[:-1, :], ids[1:, :])]
+             for a, b in zip(x.ravel(), y.ravel())]
+    return _sym(side * side, edges)
+
+
+def _oriented_chords(n, step):
+    """Directed n-cycle plus the arcs i -> i + step (mod n): strongly
+    connected, with no symmetric pair for 1 < step < n - 1, 2 step != n."""
+    return DiGraph(n, [(i, (i + 1) % n) for i in range(n)]
+                   + [(i, (i + step) % n) for i in range(n)])
+
+
+def _random_oriented(rng):
+    """Random digraph with no symmetric pair: random arcs, after a directed
+    cycle through every vertex in half of the draws."""
+    n = int(rng.integers(3, 12))
+    arcs = {}
+    if rng.random() < 0.5:
+        order = rng.permutation(n).tolist()
+        arcs.update(dict.fromkeys(_cycle_edges(order)))
+    for u, v in rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2)).tolist():
+        if u != v and (v, u) not in arcs:
+            arcs[(u, v)] = None
+    return DiGraph(n, list(arcs))
+
+
+# (graph, which certificates hold: "g" for g's labels, "H" for H's).
+CERTIFICATE_CASES = [
+    pytest.param(gen_cycle(7), "H", id="oriented-cycle"),
+    pytest.param(_sym(6, _cycle_edges(list(range(6)))), "g", id="sym-cycle"),
+    pytest.param(gen_random_tree_sym(30, 1), "g", id="tree"),
+    pytest.param(gen_path_sym(6), "g", id="path"),
+    pytest.param(gen_star_sym(5), "g", id="star"),
+    pytest.param(_sym(5, _cycle_edges([0, 1, 2]) + _cycle_edges([0, 3, 4])), "gH",
+                 id="figure-eight"),
+    pytest.param(_sym(7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 1)]),
+                 "gH", id="theta"),
+    pytest.param(gen_path_sym(2), "g", id="K2"),
+    pytest.param(DiGraph(1, []), "g", id="n1"),
+    pytest.param(DiGraph(0, []), "", id="n0"),
+    pytest.param(DiGraph(4, []), "", id="no-arcs"),
+    pytest.param(_sym(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (3, 4)]), "g",
+                 id="leaf"),
+    pytest.param(_sym(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), "", id="isolated"),
+    pytest.param(_sym(6, _cycle_edges([0, 1, 2]) + _cycle_edges([3, 4, 5])), "",
+                 id="two-triangles"),
+    pytest.param(_sym(8, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+                      + [(4, 5), (5, 6), (6, 7), (7, 4), (4, 6)]), "", id="two-thetas"),
+    pytest.param(_lattice(8), "gH", id="lattice8"),
+    *[pytest.param(gen_random_regular_sym(60, d, s), "gH", id=f"regular60-{d}-{s}")
+      for d in (3, 4) for s in range(2)],
+    pytest.param(_oriented_chords(9, 2), "H", id="oriented-chords"),
+    pytest.param(_oriented_chords(12, 5), "H", id="oriented-chords5"),
+    pytest.param(DiGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), "", id="oriented-sink"),
+    pytest.param(DiGraph(4, [(0, 1), (1, 2), (2, 3)]), "", id="oriented-path"),
+    pytest.param(DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), "", id="mixed-chord"),
+    pytest.param(DiGraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)]), "", id="mixed-lollipop"),
+    *[pytest.param(gen_erdos_renyi_digraph(20, 0.3, s), "", id=f"mixed-er-{s}")
+      for s in range(3)],
+]
+
+
+def _solves(monkeypatch):
+    """A list of the matrices of each strong-component solve from here on;
+    clear it to start a new count."""
+    calls = []
+    real = graph._cc
+
+    def counted(csgraph, *args, **kwargs):
+        if kwargs.get("connection") == "strong":
+            calls.append(csgraph)
+        return real(csgraph, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_cc", counted)
+    return calls
+
+
+def _assert_same_labels(got, expected):
+    assert got[0] == expected[0]
+    assert got[1].dtype == np.int64 and not got[1].flags.writeable
+    assert np.array_equal(got[1], expected[1])
+
+
+class TestStrongLabelCertificates:
+    """g's and H's strong labels from the graph's structure equal the
+    solve's, and the solve runs exactly where no certificate holds."""
+
+    @pytest.mark.parametrize("g, certified", CERTIFICATE_CASES)
+    def test_labels_equal_the_solve(self, g, certified, monkeypatch):
+        h = build_hashimoto(g)
+        g_solved, h_solved = _strong_labels(g.pattern), _strong_labels(h.pattern)
+        calls = _solves(monkeypatch)
+        _assert_same_labels(g.strong_labels, g_solved)
+        _assert_same_labels(h.strong_labels, h_solved)
+        solved = [id(m) for m in calls]
+        assert solved.count(id(g.pattern)) == ("g" not in certified and g.n > 0)
+        assert solved.count(id(h.pattern)) == ("H" not in certified and h.n_arcs > 0)
+        assert len(calls) == solved.count(id(g.pattern)) + solved.count(id(h.pattern))
+
+    def test_random_symmetric(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        calls = _solves(monkeypatch)
+        certified = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 14))
+            pairs = rng.integers(0, n, size=(int(rng.integers(1, 4 * n)), 2))
+            g = _sym(n, sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v}))
+            self._check(g, calls)
+            certified += not calls
+        assert 50 < certified < 250, certified  # both paths are exercised
+
+    def test_random_oriented(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        calls = _solves(monkeypatch)
+        certified = 0
+        for _ in range(300):
+            g = _random_oriented(rng)
+            self._check(g, calls)
+            certified += [id(m) for m in calls] == [id(g.pattern)]
+        assert 50 < certified < 250, certified
+
+    @staticmethod
+    def _check(g, calls):
+        """Compare both labelings with the solve; ``calls`` is left holding
+        the solves that the labelings made."""
+        h = build_hashimoto(g)
+        expected = _strong_labels(g.pattern), _strong_labels(h.pattern)
+        calls.clear()
+        _assert_same_labels(g.strong_labels, expected[0])
+        _assert_same_labels(h.strong_labels, expected[1])
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(case.values[0], id=case.id) for case in CERTIFICATE_CASES
+        if "H" not in case.values[1]
+    ])
+    def test_fallback_names_the_same_arc(self, g):
+        h = build_hashimoto(g)
+        ncomp, labels = _strong_labels(h.pattern)
+        arc_id = _smallest_block_member(labels, np.bincount(labels, minlength=ncomp))
+        assert olg_strongly_connected(h) == (arc_id is None, arc_id)
+        if arc_id is not None:
+            with pytest.raises(NotStronglyConnectedError) as err:
+                left_perron_vector(h)
+            assert err.value.arc == (int(g.tails[arc_id]), int(g.heads[arc_id]))

@@ -398,9 +398,16 @@ class TestSingleSolve:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(graph, "_cc", counted)
-        h = build_hashimoto(gen_random_regular_sym(50, 3, 1))
-        left_perron_vector(h)
-        assert len(calls) == 1
+        # A connected 3-regular graph's H needs no solve: the graph's
+        # structure settles its strong connectivity.  Less one arc, the
+        # graph is mixed and its H is solved once.
+        regular = gen_random_regular_sym(50, 3, 1)
+        keep = np.arange(1, regular.n_arcs)
+        mixed = DiGraph.from_arrays(regular.n, regular.tails[keep], regular.heads[keep])
+        for g, solves in ((regular, 0), (mixed, 1)):
+            calls.clear()
+            left_perron_vector(build_hashimoto(g))
+            assert len(calls) == solves
 
 
 class TestAdjacency:
