@@ -28,8 +28,13 @@ class HashimotoOperator:
     """Non-backtracking operator of a simple digraph.
 
     ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
-    int64 arrays, ordered by u then by v's arc id.
+    int64 arrays, ordered by u then by v's arc id.  Only an operator that
+    ``build_hashimoto`` made reads its strong labels from ``graph``'s
+    structure; one built from other pairs is always solved.
     """
+
+    # Set by build_hashimoto: the pairs are all of graph's transitions.
+    _complete = False
 
     def __init__(self, graph, pair_u, pair_v):
         self.graph = graph
@@ -55,21 +60,15 @@ class HashimotoOperator:
         strong components; every strong-component query on H reads it.
 
         The OLG is strongly connected, and its labels all 0, without a
-        solve when g has an arc and either
-        (a) g is fully symmetric and strongly connected, every out-degree
-            is at least 2 and n_arcs > 2n: H of a connected undirected
-            graph of minimum degree 2 is irreducible iff the graph is not
-            a cycle, and a cycle has n_arcs = 2n (Terras, Zeta Functions
-            of Graphs, 2011); or
-        (b) g has no symmetric pair and is strongly connected: no
-            transition is then dropped, so H is the adjacency of g's line
-            graph, and a walk e, ..., f of g joins any arcs e and f.
-        Any other operator is solved."""
+        solve when g is fully symmetric and strongly connected, every
+        out-degree is at least 2 and n_arcs > 2n: H of a connected
+        undirected graph of minimum degree 2 is irreducible iff the graph
+        is not a cycle, and a cycle has n_arcs = 2n (Terras, Zeta
+        Functions of Graphs, 2011).  Any other operator is solved."""
         g = self.graph
-        rule_a = (2 * g.symmetric_pair_count == g.n_arcs and g.n_arcs > 2 * g.n
-                  and np.diff(g.out_ptr).min() >= 2)
-        rule_b = g.symmetric_pair_count == 0
-        if self.n_arcs and (rule_a or rule_b) and g.strong_labels[0] == 1:
+        if (self._complete and 2 * g.symmetric_pair_count == g.n_arcs
+                and g.n_arcs > 2 * g.n and np.diff(g.out_ptr).min() >= 2
+                and g.strong_labels[0] == 1):
             return _one_component(self.n_arcs)
         return _strong_labels(self.pattern)
 
@@ -112,8 +111,10 @@ def build_hashimoto(g):
     v += np.arange(len(v))
     v = g.out_order[v]
     keep = g.heads[v] != np.repeat(g.tails, fan)
-    return HashimotoOperator(g, np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep],
-                             v[keep])
+    h = HashimotoOperator(g, np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep],
+                          v[keep])
+    h._complete = True
+    return h
 
 
 def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):

@@ -5,6 +5,7 @@ import pytest
 
 from nbperc import (
     DiGraph,
+    HashimotoOperator,
     build_hashimoto,
     gen_cycle,
     gen_erdos_renyi_digraph,
@@ -283,23 +284,9 @@ def _oriented_chords(n, step):
                    + [(i, (i + step) % n) for i in range(n)])
 
 
-def _random_oriented(rng):
-    """Random digraph with no symmetric pair: random arcs, after a directed
-    cycle through every vertex in half of the draws."""
-    n = int(rng.integers(3, 12))
-    arcs = {}
-    if rng.random() < 0.5:
-        order = rng.permutation(n).tolist()
-        arcs.update(dict.fromkeys(_cycle_edges(order)))
-    for u, v in rng.integers(0, n, size=(int(rng.integers(1, 2 * n)), 2)).tolist():
-        if u != v and (v, u) not in arcs:
-            arcs[(u, v)] = None
-    return DiGraph(n, list(arcs))
-
-
 # (graph, which certificates hold: "g" for g's labels, "H" for H's).
 CERTIFICATE_CASES = [
-    pytest.param(gen_cycle(7), "H", id="oriented-cycle"),
+    pytest.param(gen_cycle(7), "", id="oriented-cycle"),
     pytest.param(_sym(6, _cycle_edges(list(range(6)))), "g", id="sym-cycle"),
     pytest.param(gen_random_tree_sym(30, 1), "g", id="tree"),
     pytest.param(gen_path_sym(6), "g", id="path"),
@@ -322,8 +309,8 @@ CERTIFICATE_CASES = [
     pytest.param(_lattice(8), "gH", id="lattice8"),
     *[pytest.param(gen_random_regular_sym(60, d, s), "gH", id=f"regular60-{d}-{s}")
       for d in (3, 4) for s in range(2)],
-    pytest.param(_oriented_chords(9, 2), "H", id="oriented-chords"),
-    pytest.param(_oriented_chords(12, 5), "H", id="oriented-chords5"),
+    pytest.param(_oriented_chords(9, 2), "", id="oriented-chords"),
+    pytest.param(_oriented_chords(12, 5), "", id="oriented-chords5"),
     pytest.param(DiGraph(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), "", id="oriented-sink"),
     pytest.param(DiGraph(4, [(0, 1), (1, 2), (2, 3)]), "", id="oriented-path"),
     pytest.param(DiGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), "", id="mixed-chord"),
@@ -382,15 +369,18 @@ class TestStrongLabelCertificates:
             certified += not calls
         assert 50 < certified < 250, certified  # both paths are exercised
 
-    def test_random_oriented(self, monkeypatch):
-        rng = np.random.default_rng(1)
+    def test_operator_from_other_pairs_is_solved(self, monkeypatch):
+        """Labels come from g's structure only for build_hashimoto's own
+        operator: one holding a subset of the transitions is solved."""
+        g = _lattice(4)
+        full = build_hashimoto(g)
+        keep = np.arange(len(full.pair_u)) % 2 == 0
+        h = HashimotoOperator(g, full.pair_u[keep], full.pair_v[keep])
+        expected = _strong_labels(h.pattern)
+        assert expected[0] > 1
         calls = _solves(monkeypatch)
-        certified = 0
-        for _ in range(300):
-            g = _random_oriented(rng)
-            self._check(g, calls)
-            certified += [id(m) for m in calls] == [id(g.pattern)]
-        assert 50 < certified < 250, certified
+        _assert_same_labels(h.strong_labels, expected)
+        assert [id(m) for m in calls] == [id(h.pattern)]
 
     @staticmethod
     def _check(g, calls):
