@@ -89,11 +89,17 @@ def gen_erdos_renyi_digraph(n, arc_prob, seed):
     if not 0.0 <= arc_prob <= 1.0:
         raise GraphStructureError(f"arc_prob {arc_prob} outside [0,1]")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.random((n, n))
-    mask = draws < arc_prob
-    np.fill_diagonal(mask, False)
-    us, vs = np.nonzero(mask)
-    return DiGraph(n, list(zip(us.tolist(), vs.tolist())))
+    # The draws of a block of rows at a time, about 2 MB: Generator.random
+    # fills row by row, so the blocks draw the same uniforms as one n x n
+    # call, and the arcs come out in the same row-major order.
+    rows = max(1, (1 << 18) // max(n, 1))
+    keys = [np.zeros(0, dtype=np.int64)]
+    for r0 in range(0, n, rows):
+        mask = rng.random((min(rows, n - r0), n)) < arc_prob
+        keys.append(np.flatnonzero(mask) + r0 * n)
+    tails, heads = np.divmod(np.concatenate(keys), max(n, 1))
+    loop = tails == heads
+    return DiGraph.from_arrays(n, tails[~loop], heads[~loop])
 
 
 def gen_random_tree_sym(n, seed):

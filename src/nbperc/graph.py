@@ -9,7 +9,6 @@ structures work on those arrays in bulk.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -181,13 +180,10 @@ class ComponentLabeling:
 
     component_id: per-vertex component label (numpy int array).
     sizes: per-component vertex counts, indexed by label.
-    condensation_order: component labels in a topological order of the
-        condensation (every arc goes from an earlier to a later entry).
     """
 
     component_id: np.ndarray
     sizes: np.ndarray
-    condensation_order: tuple
 
     @property
     def count(self):
@@ -421,35 +417,10 @@ def _scc_labels(n, tails, heads):
 
 
 def strongly_connected_components(g):
-    """Label maximal mutually-reachable vertex sets and order the condensation."""
+    """Label maximal mutually-reachable vertex sets."""
     ncomp, labels = g.strong_labels
     sizes = np.bincount(labels, minlength=ncomp)
-    # Condensation arcs: comp(tail) -> comp(head) where labels differ.
-    order = _topo_order(ncomp, labels[g.tails], labels[g.heads])
-    return ComponentLabeling(labels, sizes, tuple(order))
-
-
-def _topo_order(ncomp, comp_t, comp_h):
-    """Kahn topological order over the condensation DAG (deterministic)."""
-    cross = comp_t != comp_h
-    pairs = set(zip(comp_t[cross].tolist(), comp_h[cross].tolist()))
-    succ = [[] for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for a, b in sorted(pairs):
-        succ[a].append(b)
-        indeg[b] += 1
-    ready = deque(c for c in range(ncomp) if indeg[c] == 0)
-    order = []
-    while ready:
-        c = ready.popleft()
-        order.append(c)
-        inserted = []
-        for b in succ[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                inserted.append(b)
-        ready.extend(sorted(inserted))
-    return order
+    return ComponentLabeling(labels, sizes)
 
 
 def is_strongly_connected(g):

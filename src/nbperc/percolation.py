@@ -15,7 +15,8 @@ together, one strong-component solve per grid point.  An independent
 trial's grid points are the rows of the same pass, each with its own draws
 shifted by its p onto the one grid point 0, so a block of them is one
 strong-component solve; measure_components is one row with every vertex
-open.
+open.  The largest out- and in-component masses are those that the
+condensation's sources reach, one SciPy breadth-first search per source.
 
 Out-component probabilities take one of three kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
@@ -31,11 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .cycles import VERTEX_CAP
 from .errors import NoCrossingError
-from .graph import _offsets
+from .graph import _csr_pattern, _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
@@ -257,24 +259,14 @@ def _source_masses(ncomp, src, dst, sizes):
 
     Reachable sets are nested along condensation arcs, so the largest
     reach mass in a subgraph is a source's (or, with no arcs, a component's
-    own size); a DFS per source suffices.
+    own size); one SciPy breadth-first search per source, each O(ncomp +
+    arcs), finds them.
     """
     a, b = np.divmod(np.unique(src.astype(np.int64) * ncomp + dst), ncomp)
     sources = np.setdiff1d(a, b)
-    ptr, succ, mass_of = _offsets(a, ncomp).tolist(), b.tolist(), sizes.tolist()
-    masses = []
-    for s in sources.tolist():
-        seen = {s}
-        stack = [s]
-        mass = mass_of[s]
-        while stack:
-            c = stack.pop()
-            for d in succ[ptr[c]:ptr[c + 1]]:
-                if d not in seen:
-                    seen.add(d)
-                    mass += mass_of[d]
-                    stack.append(d)
-        masses.append(mass)
+    pattern = _csr_pattern(ncomp, _offsets(a, ncomp), b)
+    masses = [sizes[breadth_first_order(pattern, s, return_predecessors=False)].sum()
+              for s in sources.tolist()]
     return sources, np.array(masses, dtype=np.int64)
 
 

@@ -466,18 +466,6 @@ class TestSolveCount:
         self.strong_solves(g, monkeypatch, whole=1)
 
 
-def test_analyze_builds_no_condensation_order(tmp_path, capsys, monkeypatch):
-    # analyze prints only the component count, so it never needs the
-    # Python topological sort of the condensation.
-    monkeypatch.setattr(graph, "_topo_order", lambda *args: pytest.fail("_topo_order"))
-    g = gen_erdos_renyi_digraph(300, 0.01, 1)
-    path = tmp_path / "er.txt"
-    path.write_text(graph.serialize_edge_list(g))
-    code, out, _ = run_cli(["analyze", str(path)], capsys)
-    assert code == 0
-    assert json.loads(out)["graph"]["scc_count"] == g.strong_labels[0] > 1
-
-
 class TestEntryPoint:
     def test_subprocess_invocation(self, c3_file):
         proc = subprocess.run(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,29 @@ class TestErdosRenyi:
 
     def test_deterministic(self):
         assert gen_erdos_renyi_digraph(20, 0.2, 9) == gen_erdos_renyi_digraph(20, 0.2, 9)
+
+    @pytest.mark.parametrize("n, arc_prob, seed", [
+        (0, 0.5, 0), (1, 0.5, 0), (2, 1.0, 1), (40, 0.2, 2), (300, 0.01, 3), (1000, 0.003, 4),
+    ])
+    def test_arcs_match_one_draw_of_all_pairs(self, n, arc_prob, seed):
+        # The row blocks draw the uniforms of one n x n call, in its order.
+        draws = np.random.default_rng(np.random.SeedSequence(seed)).random((n, n))
+        mask = draws < arc_prob
+        np.fill_diagonal(mask, False)
+        us, vs = np.nonzero(mask)
+        g = gen_erdos_renyi_digraph(n, arc_prob, seed)
+        assert g.tails.tolist() == us.tolist() and g.heads.tolist() == vs.tolist()
+
+    def test_memory_is_not_quadratic(self):
+        # One n x n draw took 72 MB at n = 3,000, and its mask 9 MB more.
+        tracemalloc.start()
+        try:
+            g = gen_erdos_renyi_digraph(3000, 0.001, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_arcs > 0
+        assert peak < 8e6
 
 
 class TestRandomTree:

@@ -341,16 +341,6 @@ class TestComponents:
         assert lab.count == 1
         assert lab.sizes.tolist() == [3]
 
-    def test_condensation_order_is_topological(self):
-        for seed in range(20):
-            g = gen_erdos_renyi_digraph(10, 0.15, seed)
-            lab = strongly_connected_components(g)
-            pos = {c: i for i, c in enumerate(lab.condensation_order)}
-            for t, h in arc_pairs(g):
-                ct, ch = int(lab.component_id[t]), int(lab.component_id[h])
-                if ct != ch:
-                    assert pos[ct] < pos[ch]
-
     def test_matches_bruteforce_closure(self):
         for seed in range(40):
             n = 3 + seed % 5  # n <= 7

@@ -41,6 +41,23 @@ def grid_sym(side):
     return DiGraph(side * side, arcs)
 
 
+def fan(sources):
+    """sources vertices 0.., each with one arc to the head of a chain of
+    sources more vertices."""
+    chain = np.arange(sources, 2 * sources)
+    return DiGraph.from_arrays(2 * sources, np.concatenate((np.arange(sources), chain[:-1])),
+                               np.concatenate((np.full(sources, sources), chain[1:])))
+
+
+def diamond_chain(k):
+    """k diamonds in series, vertex 3i forking to 3i + 1 and 3i + 2, which
+    join at 3i + 3: 2**k paths from vertex 0 to vertex 3k."""
+    base = 3 * np.arange(k)
+    tails = np.stack((base, base, base + 1, base + 2), axis=1).ravel()
+    heads = np.stack((base + 1, base + 2, base + 3, base + 3), axis=1).ravel()
+    return DiGraph.from_arrays(3 * k + 1, tails, heads)
+
+
 class TestSampling:
     def test_extremes(self):
         rng = trial_rng(0, 0)
@@ -99,6 +116,11 @@ class TestMeasure:
         g = DiGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n))
         st = measure_components(g)
         assert (st.largest_scc, st.second_scc, st.largest_out, st.largest_in) == (1, 1, n, n)
+
+    def test_fan_reach_masses(self):
+        # 2,000 condensation sources, each reaching the 2,000-vertex chain.
+        st = measure_components(fan(2000))
+        assert (st.largest_out, st.largest_in) == (2001, 4000)
 
     def test_out_component_matches_bruteforce(self):
         from conftest import reachability_closure
@@ -506,6 +528,8 @@ class TestSweep:
         pytest.param(gen_star_sym(8), id="star8"),
         pytest.param(DiGraph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (1, 5)]),
                      id="dag6"),
+        pytest.param(fan(8), id="fan16"),
+        pytest.param(diamond_chain(20), id="diamonds20"),
         pytest.param(DiGraph(1, []), id="one-vertex"),
         pytest.param(DiGraph(0, []), id="empty"),
     ])
