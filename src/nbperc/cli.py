@@ -213,9 +213,16 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+def _check_at_least_1(args, *names):
+    """ParseError naming the first of the integer flags names below 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ParseError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
 def cmd_simulate(args):
-    if args.steps < 1:
-        raise ParseError(f"--steps must be >= 1, got {args.steps}")
+    _check_at_least_1(args, "steps", "trials", "m_max")
     g = _load_graph(args.input, args.undirected)
     if args.steps == 1:
         p_grid = (float(args.p_min),)
@@ -295,6 +302,7 @@ def _simulate_json(sr, estimates):
 
 
 def cmd_bounds_check(args):
+    _check_at_least_1(args, "trials", "m_max")
     g = _load_graph(args.input, args.undirected)
     p_list = _parse_p_list(args.p)
     h = build_hashimoto(g)

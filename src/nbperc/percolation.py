@@ -2,7 +2,7 @@
 
 Per-trial randomness comes from splittable seed streams derived from the
 master seed and the trial (and grid) index, so results are bit-identical
-regardless of how trials are scheduled across workers.  The coupled sweep
+however the trials are grouped into blocks.  The coupled sweep
 mode draws one uniform per vertex per trial and reuses it across the whole
 probability grid, which makes every component statistic monotone in p
 within a trial and roughly halves threshold-location variance.
@@ -18,16 +18,13 @@ strong-component solve; measure_components is one row with every vertex
 open.  The largest out- and in-component masses are those that the
 condensation's sources reach, one SciPy breadth-first search per source.
 
-Out-component probabilities take one of three kernels, chosen from the
+Out-component probabilities take one of two kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
 when the open sets that hold the root are no more than the rows (at most
-VERTEX_CAP vertices), a word-parallel bitmask closure on graphs of at
-most WORD_VERTICES vertices, and a capped bulk search on larger ones.
+VERTEX_CAP vertices), and a capped bulk search otherwise.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +43,6 @@ STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_c
 # block or the grid points of an independent one.  Bounds their memory at
 # a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
-# The most vertices whose open set fits in one int64 with the sign bit
-# clear: up to this graph size estimate_out_prob takes the closure.
-WORD_VERTICES = np.iinfo(np.int64).bits - 1
 # The number of set bits of each byte value.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.int64)
@@ -281,17 +275,6 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
     return ComponentStats(*stats[0, 0].tolist())
 
 
-def _worker_count():
-    """NBPERC_THREADS, capped at the CPU count: the executor starts up to
-    that many threads, one per submitted trial, and threads beyond the
-    cores add no parallelism."""
-    try:
-        w = int(os.environ.get("NBPERC_THREADS", ""))
-    except ValueError:
-        return 1
-    return min(w, os.cpu_count() or 1) if w > 0 else 1
-
-
 def sweep(g, config):
     """Run the full (p_grid x trials) measurement, deterministically.
 
@@ -301,9 +284,7 @@ def sweep(g, config):
     over the one-point grid 0: draw - p < 0 exactly when draw < p, as the
     sign of a float subtraction is exact.  Every trial has its own seed
     streams, and a trial's statistics do not depend on the trials it
-    shares a block with.  Blocks of trials (coupled) or single trials
-    (independent) are the work units, and the reduction order is fixed,
-    so the result does not depend on the worker count (NBPERC_THREADS)."""
+    shares a block with, so the result does not depend on the block size."""
     p_grid = tuple(float(p) for p in config.p_grid)
     n = g.n
     gf = config.giant_fraction
@@ -340,13 +321,6 @@ def sweep(g, config):
                                                         (0.0,), giant)[:, 0]
             return stats
 
-    workers = _worker_count()
-    if workers == 1:
-        per_unit = [run(u) for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            per_unit = list(ex.map(run, units))
-
     result = SweepResult(
         p_grid=p_grid,
         n=g.n,
@@ -355,7 +329,7 @@ def sweep(g, config):
         coupled=config.coupled,
         master_seed=config.master_seed,
     )
-    stats = np.concatenate(per_unit)  # (trial, grid point, stat)
+    stats = np.concatenate([run(u) for u in units])  # (trial, grid point, stat)
     for j, name in enumerate(STAT_NAMES):
         result.stats[name] = stats[:, :, j].T.copy()
     return result.finalize()
@@ -365,12 +339,11 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     """Monte-Carlo estimate of P(v open and >= m open vertices reachable
     from v), for m = 1..m_max, with binomial standard errors.
 
-    Each draw block of trials goes through one of three kernels.  A graph
+    Each draw block of trials goes through one of two kernels.  A graph
     of at most VERTEX_CAP vertices whose 2**(n-1) open sets that hold v
     are no more than the rows to count (trials, times the p values of
     _out_probs) reads each trial's reach from a table built once for v.
-    Other graphs of at most WORD_VERTICES vertices take a word-parallel
-    closure, larger ones a capped search.  A trial's count is min(reach
+    Other graphs take a capped search.  A trial's count is min(reach
     size, m_max), which leaves every P-hat exact.  A block holds at most
     BLOCK_ENTRIES draws, and a search round scans at most BLOCK_ENTRIES
     arcs, unless one trial alone needs more.
@@ -398,17 +371,15 @@ def _out_probs(g, v, ps, m_max, trials, seed):
     heads, ptr = g.heads[g.out_order], g.out_ptr
     size_hist = np.zeros((len(ps), m_max + 1), dtype=np.int64)  # index: p, capped reach size
     # A search round scans the arcs of at most m_max - 1 distinct vertices
-    # per trial.  The closure takes the same blocks.
+    # per trial.  The table is built in blocks of the same rows.
     widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
     rows = max(1, BLOCK_ENTRIES // max(n, widest, 1))
-    table = closure = None
+    table = None
     if n <= VERTEX_CAP and 2 ** (n - 1) <= trials * len(ps):
         # Enumerating the open sets costs no more rows than the trials.
         table = np.minimum(_reach_table(g, v, rows), min(m_max, n))
-    elif n <= WORD_VERTICES:
-        closure = _closure_tables(g)
     else:
         stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
@@ -424,8 +395,6 @@ def _out_probs(g, v, ps, m_max, trials, seed):
                 del draws
             if table is not None:
                 count = table.take(_open_words(opens))
-            elif closure is not None:
-                count = _closure_counts(closure, v, m_max, _open_words(opens))
             else:
                 count = _search_counts(ptr, heads, v, m_max, opens, stamp)
             hist += np.bincount(count, minlength=m_max + 1)
@@ -457,7 +426,7 @@ def _reach_table(g, v, rows):
     for start in range(0, sets, rows):
         k = np.arange(start, min(start + rows, sets), dtype=np.int64)
         words = (k & below) | ((k & ~below) << 1) | (1 << v)
-        table[words] = _closure_counts(tables, v, n, words)
+        table[words] = _closure_counts(tables, v, words)
     return table
 
 
@@ -475,10 +444,10 @@ def _closure_tables(g):
 
 
 def _open_words(opens):
-    """Each row of the boolean opens, at most WORD_VERTICES columns wide,
-    as one int64: bit u for vertex u."""
+    """Each row of the boolean opens, at most VERTEX_CAP columns wide, as
+    one int64: bit u for vertex u."""
     rows, n = opens.shape
-    width = 1 << (-(-n // 8) - 1).bit_length()  # bytes per row: 1, 2, 4 or 8
+    width = 1 << (-(-n // 8) - 1).bit_length()  # bytes per row: 1 or 2
     if n < 8 * width:
         padded = np.zeros((rows, 8 * width), dtype=bool)
         padded[:, :n] = opens
@@ -486,33 +455,24 @@ def _open_words(opens):
     return np.packbits(opens, bitorder="little").view(f"<u{width}").astype(np.int64)
 
 
-def _closure_counts(tables, v, m_max, words):
-    """Per open set, one int64 word each (bit u for vertex u), the number
-    of open vertices reachable from v, capped at m_max.
+def _closure_counts(tables, v, words):
+    """Per open set, one int64 word each (bit u for vertex u) that holds
+    v, the number of open vertices reachable from v.
 
-    Each round ORs into the reach of each set that holds v the out-masks
-    of all its reached vertices, one table lookup per byte, and keeps the
-    open bits.  The rounds stop when no reach grows, or after m_max - 1
-    rounds: a reach still growing then has grown in every round, so it
-    holds at least m_max vertices.  Sets without v count 0.
+    Each round ORs into the reach of each set the out-masks of all its
+    reached vertices, one table lookup per byte, and keeps the open bits,
+    until no reach grows.
     """
-    nbytes = len(tables)
-    live = np.flatnonzero((words >> v) & 1)  # the sets that hold the root
-    free = words[live]
-    reach = np.full(live.size, 1 << v, dtype=np.int64)
-    for _ in range(m_max - 1):
+    reach = np.full(len(words), 1 << v, dtype=np.int64)
+    while True:
         octets = reach.astype("<i8", copy=False).view(np.uint8)  # byte k: bits 8k..8k+7
         grown = reach.copy()
-        for k in range(nbytes):
+        for k in range(len(tables)):
             grown |= tables[k].take(octets[k::8])
-        grown &= free
+        grown &= words
         if np.array_equal(grown, reach):
-            break
+            return sum(_BYTE_BITS.take(octets[k::8]) for k in range(len(tables)))
         reach = grown
-    octets = reach.astype("<i8", copy=False).view(np.uint8)
-    count = np.zeros(len(words), dtype=np.int64)
-    count[live] = sum(_BYTE_BITS.take(octets[k::8]) for k in range(nbytes))
-    return np.minimum(count, m_max)
 
 
 def _search_counts(ptr, heads, v, m_max, opens, stamp):

@@ -29,6 +29,14 @@ def c3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def regular16_file(tmp_path, capsys):
+    # The validate benchmark's bounds-check input: norm_row = 2.
+    path = str(tmp_path / "regular16.txt")
+    assert run_cli(["gen", "regular", "16", "3", "--seed", "4", "-o", path], capsys)[0] == 0
+    return path
+
+
 class TestGen:
     def test_cycle_file(self, capsys):
         code, out, _ = run_cli(["gen", "cycle", "3"], capsys)
@@ -248,6 +256,19 @@ class TestSimulate:
         assert out == ""
         assert err == "nbperc: error: --steps must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("flag", ["--trials", "--m-max"])
+    @pytest.mark.parametrize("roots", [[], ["--roots", "0,1"]], ids=["no-roots", "roots"])
+    def test_counts_checked_up_front(self, regular16_file, flag, roots, capsys):
+        # Whether or not any out-probability is estimated.
+        code, out, err = run_cli(
+            ["simulate", regular16_file, "--p-min", "0.1", "--p-max", "0.9", "--steps", "3",
+             *roots, flag, "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"nbperc: error: {flag} must be >= 1, got 0\n"
+
     def test_bad_root_list(self, c3_file, capsys):
         code, out, err = run_cli(
             ["simulate", c3_file, "--p-min", "0.5", "--p-max", "0.5", "--steps", "1",
@@ -278,12 +299,10 @@ class TestBoundsCheck:
         row = out.splitlines()[1]
         assert "void" in row
 
-    def test_unbounded_p_between_bounded_ones(self, tmp_path, capsys):
+    def test_unbounded_p_between_bounded_ones(self, regular16_file, capsys):
         # norm_row = 2, so p = 0.6 has no Theorem-1 bound: its row is void,
         # and the rows around it read as when they are checked alone.
-        path = str(tmp_path / "g.txt")
-        run_cli(["gen", "regular", "16", "3", "--seed", "4", "-o", path], capsys)
-        check = ["bounds-check", path, "--trials", "3000", "--seed", "2"]
+        check = ["bounds-check", regular16_file, "--trials", "3000", "--seed", "2"]
         code, out, _ = run_cli([*check, "--p", "0.1,0.6,0.3"], capsys)
         assert code == 0
         header, low, void, high = out.splitlines()
@@ -298,6 +317,15 @@ class TestBoundsCheck:
         code, out, _ = run_cli(["bounds-check", str(path), "--p", "0.3"], capsys)
         assert code == 0
         assert out.splitlines()[1] == "0.3,1.0,0.0,void,,,,"
+
+    @pytest.mark.parametrize("flag", ["--trials", "--m-max"])
+    @pytest.mark.parametrize("p", ["0.1", "0.9"])
+    def test_counts_checked_up_front(self, regular16_file, flag, p, capsys):
+        # Whether or not p has a Theorem-1 bound (p = 0.9 has none).
+        code, out, err = run_cli(["bounds-check", regular16_file, "--p", p, flag, "0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"nbperc: error: {flag} must be >= 1, got 0\n"
 
     def test_root_out_of_range(self, c3_file, capsys):
         code, out, err = run_cli(
