@@ -102,7 +102,7 @@ def sac_bound_logdet(p, h, rho_h):
     return max(0.0, -float(np.log(np.abs(lu.U.diagonal())).sum()))
 
 
-def sac_bound_trace(p, h, cutoff, rho_h, cap=EXACT_TRACE_CAP):
+def sac_bound_trace(p, h, cutoff, rho_h):
     """Truncated series sum_{s<=cutoff} p^s Tr H^s / s with a tail bound,
     from exact traces: the reference that sac_bound_logdet sums in full.
 
@@ -113,7 +113,7 @@ def sac_bound_trace(p, h, cutoff, rho_h, cap=EXACT_TRACE_CAP):
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     value = 0.0
-    for s, tr in enumerate(trace_powers(h, cutoff, cap=cap), start=1):
+    for s, tr in enumerate(trace_powers(h, cutoff), start=1):
         if tr:
             value += (p ** s) * float(tr) / s
     x = p * rho_h

@@ -20,7 +20,6 @@ from . import __version__
 from .bounds import (
     compute_bounds_report,
     out_component_probability_bound,
-    improved_out_bound,
     sac_bound_closed,
     sac_bound_logdet,
 )

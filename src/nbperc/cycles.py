@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .graph import _split
-from .hashimoto import EXACT_TRACE_CAP, trace_power
+from .hashimoto import trace_power
 
 VERTEX_CAP = 16
 SAC_MIN_LEN = 3
@@ -81,14 +81,14 @@ def expected_sac_count(report, p):
     return sum(k * (p ** s) for s, k in report.sac_count_by_length.items())
 
 
-def nb_cycle_count(h, s, cap=EXACT_TRACE_CAP):
+def nb_cycle_count(h, s):
     """Tr H^s / s: non-backtracking directed cycles of length s, counted
     up to starting-arc rotation.  Exact rational; for prime s the count is
     necessarily integral (no closed NB walk of prime length is periodic),
     which is asserted."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    tr = trace_power(h, s, cap=cap)
+    tr = trace_power(h, s)
     if _is_prime(s) and tr % s != 0:
         raise AssertionError(
             f"Tr H^{s} = {tr} not divisible by prime {s}; operator corrupt"

@@ -50,7 +50,7 @@ def gen_star_sym(k):
     return DiGraph(k + 1, _sym_arcs((0, i) for i in range(1, k + 1)))
 
 
-def gen_random_regular_sym(n, d, seed, max_attempts=20000):
+def gen_random_regular_sym(n, d, seed):
     """Random d-regular graph by configuration-model pairing, symmetrized.
 
     Pairings producing self-loops or multi-edges are rejected wholesale
@@ -65,7 +65,7 @@ def gen_random_regular_sym(n, d, seed, max_attempts=20000):
         raise GraphStructureError(f"n*d must be even, got n={n}, d={d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-    for _ in range(max_attempts):
+    for _ in range(20000):
         perm = rng.permutation(stubs)
         u, v = perm[0::2], perm[1::2]
         if np.any(u == v):
@@ -79,7 +79,7 @@ def gen_random_regular_sym(n, d, seed, max_attempts=20000):
         edges = list(zip(lo[order].tolist(), hi[order].tolist()))
         return DiGraph(n, _sym_arcs(edges))
     raise GraphStructureError(
-        f"no simple pairing found in {max_attempts} attempts (n={n}, d={d})"
+        f"no simple pairing found in 20000 attempts (n={n}, d={d})"
     )
 
 

@@ -18,29 +18,43 @@ from .graph import _csr_pattern, _offsets, _one_component, _split, _strong_label
 
 EXACT_TRACE_CAP = 5000
 # Transition budget: the most candidate transitions, sum over arcs of
-# out-degree(head), that build_hashimoto takes.  An analyze peaks at about
+# out-degree(head), that an operator takes.  An analyze peaks at about
 # 45 bytes per candidate (stars of up to 2,500 leaves), so this budget
 # keeps its peak near 1.9 GB.
 MAX_TRANSITIONS = 40_000_000
 
 
 class HashimotoOperator:
-    """Non-backtracking operator of a simple digraph.
+    """Non-backtracking operator of a simple digraph g.
 
     ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
-    int64 arrays, ordered by u then by v's arc id.  Only an operator that
-    ``build_hashimoto`` made reads its strong labels from ``graph``'s
-    structure; one built from other pairs is always solved.
+    int64 arrays, ordered by u then by v's arc id.  The rule on arrays: the
+    candidates after arc u are the arcs leaving head(u), listed per u in
+    out-CSR (arc-id) order; the one that returns to tail(u) is dropped.
+    More than MAX_TRANSITIONS candidates raise CapExceededError before any
+    candidate-sized array is allocated.
     """
 
-    # Set by build_hashimoto: the pairs are all of graph's transitions.
-    _complete = False
-
-    def __init__(self, graph, pair_u, pair_v):
-        self.graph = graph
-        self.n_arcs = graph.n_arcs
-        self.pair_u = pair_u
-        self.pair_v = pair_v
+    def __init__(self, g):
+        first = g.out_ptr[g.heads]
+        fan = g.out_ptr[g.heads + 1] - first
+        candidates = int(fan.sum())
+        if candidates > MAX_TRANSITIONS:
+            raise CapExceededError(
+                f"operator needs up to {candidates} transitions, over the budget "
+                f"MAX_TRANSITIONS = {MAX_TRANSITIONS}"
+            )
+        # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
+        # Loading a graph peaks here, so at most three candidate-sized arrays
+        # are alive at once: u is built only to be compressed.
+        v = np.repeat(first - (np.cumsum(fan) - fan), fan)
+        v += np.arange(len(v))
+        v = g.out_order[v]
+        keep = g.heads[v] != np.repeat(g.tails, fan)
+        self.graph = g
+        self.n_arcs = g.n_arcs
+        self.pair_u = np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep]
+        self.pair_v = v[keep]
 
     @property
     def dim(self):
@@ -64,11 +78,10 @@ class HashimotoOperator:
         out-degree is at least 2 and n_arcs > 2n: H of a connected
         undirected graph of minimum degree 2 is irreducible iff the graph
         is not a cycle, and a cycle has n_arcs = 2n (Terras, Zeta
-        Functions of Graphs, 2011).  Any other operator is solved."""
+        Functions of Graphs, 2011).  Any other graph's operator is solved."""
         g = self.graph
-        if (self._complete and 2 * g.symmetric_pair_count == g.n_arcs
-                and g.n_arcs > 2 * g.n and np.diff(g.out_ptr).min() >= 2
-                and g.strong_labels[0] == 1):
+        if (2 * g.symmetric_pair_count == g.n_arcs and g.n_arcs > 2 * g.n
+                and np.diff(g.out_ptr).min() >= 2 and g.strong_labels[0] == 1):
             return _one_component(self.n_arcs)
         return _strong_labels(self.pattern)
 
@@ -90,34 +103,11 @@ class HashimotoOperator:
 
 
 def build_hashimoto(g):
-    """The non-backtracking rule on arrays: the candidates after arc u are
-    the arcs leaving head(u), listed per u in out-CSR (arc-id) order; the
-    one that returns to tail(u) is dropped.
-
-    More than MAX_TRANSITIONS candidates raise CapExceededError before
-    any candidate-sized array is allocated."""
-    first = g.out_ptr[g.heads]
-    fan = g.out_ptr[g.heads + 1] - first
-    candidates = int(fan.sum())
-    if candidates > MAX_TRANSITIONS:
-        raise CapExceededError(
-            f"operator needs up to {candidates} transitions, over the budget "
-            f"MAX_TRANSITIONS = {MAX_TRANSITIONS}"
-        )
-    # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
-    # Loading a graph peaks here, so at most three candidate-sized arrays
-    # are alive at once: u is built only to be compressed.
-    v = np.repeat(first - (np.cumsum(fan) - fan), fan)
-    v += np.arange(len(v))
-    v = g.out_order[v]
-    keep = g.heads[v] != np.repeat(g.tails, fan)
-    h = HashimotoOperator(g, np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep],
-                          v[keep])
-    h._complete = True
-    return h
+    """The non-backtracking operator of g."""
+    return HashimotoOperator(g)
 
 
-def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):
+def trace_powers(h, s_max):
     """Exact [Tr H^1, ..., Tr H^s_max] by integer basis-vector propagation.
 
     Uses arbitrary-precision integers: closed non-backtracking walk counts
@@ -125,9 +115,9 @@ def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):
     """
     if s_max < 1:
         raise ValueError(f"s_max must be >= 1, got {s_max}")
-    if h.n_arcs > cap:
+    if h.n_arcs > EXACT_TRACE_CAP:
         raise CapExceededError(
-            f"exact trace needs n_arcs <= {cap}, got {h.n_arcs}"
+            f"exact trace needs n_arcs <= {EXACT_TRACE_CAP}, got {h.n_arcs}"
         )
     succ = _split(h.pair_v.tolist(), _offsets(h.pair_u, h.n_arcs))
     traces = [0] * (s_max + 1)
@@ -145,6 +135,6 @@ def trace_powers(h, s_max, cap=EXACT_TRACE_CAP):
     return traces[1:]
 
 
-def trace_power(h, s, cap=EXACT_TRACE_CAP):
+def trace_power(h, s):
     """Exact Tr H^s: closed non-backtracking walks of length s (with start)."""
-    return trace_powers(h, s, cap=cap)[-1]
+    return trace_powers(h, s)[-1]

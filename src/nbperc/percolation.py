@@ -14,9 +14,10 @@ what opens, and solves that small graph.  A block of trials runs this pass
 together, one strong-component solve per grid point.  An independent
 trial's grid points are the rows of the same pass, each with its own draws
 shifted by its p onto the one grid point 0, so a block of them is one
-strong-component solve; measure_components is one row with every vertex
-open.  The largest out- and in-component masses are those that the
-condensation's sources reach, one SciPy breadth-first search per source.
+strong-component solve.  sweep runs both modes through one block loop;
+measure_components is one row with every vertex open.  The largest out-
+and in-component masses are those that the condensation's sources reach,
+one SciPy breadth-first search per source.
 
 Out-component probabilities take one of two kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
@@ -278,49 +279,38 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
 def sweep(g, config):
     """Run the full (p_grid x trials) measurement, deterministically.
 
-    Both modes measure through _nested_stats.  A coupled block's rows are
-    its trials, over the ascending grid.  An independent trial's rows are
-    a block of its grid points, each with its own draws shifted by its p
-    over the one-point grid 0: draw - p < 0 exactly when draw < p, as the
-    sign of a float subtraction is exact.  Every trial has its own seed
-    streams, and a trial's statistics do not depend on the trials it
-    shares a block with, so the result does not depend on the block size."""
+    Each row of a _nested_stats pass is one trial on some grid columns.  A
+    coupled row is trial t on every column, drawn from the stream (t,),
+    over the ascending grid.  An independent row is column j of trial t,
+    drawn from the stream (j, t) and shifted by p_j, over the one-point
+    grid 0: draw - p < 0 exactly when draw < p, as the sign of a float
+    subtraction is exact.  A row's statistics depend only on its stream,
+    so the result does not depend on the block size."""
     p_grid = tuple(float(p) for p in config.p_grid)
     n = g.n
     gf = config.giant_fraction
-    giant = gf * n
     tails, heads = g.tails[g.out_order], g.heads[g.out_order]  # as _nested_stats takes them
-    # A block of trials (coupled) or of grid points (independent) holds
-    # at most BLOCK_ENTRIES vertices and arcs.
-    per_block = BLOCK_ENTRIES // max(g.n_arcs, n, 1)
+    # A block holds at most BLOCK_ENTRIES vertices and arcs, and its rows
+    # (trial, grid columns, stream key, shift) come from one unit: all
+    # trials (coupled), or one trial's grid points (independent).
+    per_block = max(1, BLOCK_ENTRIES // max(g.n_arcs, n, 1))
     if config.coupled:
         order = np.argsort(p_grid, kind="stable")
         grid = np.asarray(p_grid)[order]
-        rows = max(1, min(config.trials, per_block))
-        units = range(0, config.trials, rows)
-
-        def run(t0):
-            """The trials t0.. of one block: their nested pass."""
-            trials = range(t0, min(t0 + rows, config.trials))
-            draws = np.array([trial_rng(config.master_seed, t).random(n) for t in trials])
-            stats = np.empty((len(trials), len(p_grid), len(STAT_NAMES)), dtype=np.int64)
-            stats[:, order] = _nested_stats(n, tails, heads, draws, grid, giant)
-            return stats
+        units = [[(t, order, (t,), 0.0) for t in range(config.trials)]]
     else:
-        rows = max(1, min(len(p_grid), per_block))
-        units = range(config.trials)
-
-        def run(t):
-            """Trial t, a block of grid points at a time."""
-            stats = np.empty((1, len(p_grid), len(STAT_NAMES)), dtype=np.int64)
-            for i in range(0, len(p_grid), rows):
-                ps = np.asarray(p_grid[i:i + rows])
-                draws = np.array([trial_rng(config.master_seed, j, t).random(n)
-                                  for j in range(i, i + len(ps))])
-                stats[0, i:i + len(ps)] = _nested_stats(n, tails, heads, draws - ps[:, None],
-                                                        (0.0,), giant)[:, 0]
-            return stats
-
+        grid = (0.0,)
+        units = [[(t, [j], (j, t), p) for j, p in enumerate(p_grid)]
+                 for t in range(config.trials)]
+    stats = np.empty((config.trials, len(p_grid), len(STAT_NAMES)), dtype=np.int64)
+    for unit in units:
+        for i in range(0, len(unit), per_block):
+            block = unit[i:i + per_block]
+            draws = np.array([trial_rng(config.master_seed, *key).random(n) - shift
+                              for _, _, key, shift in block])
+            block_stats = _nested_stats(n, tails, heads, draws, grid, gf * n)
+            for (t, cols, _, _), row in zip(block, block_stats):
+                stats[t, cols] = row
     result = SweepResult(
         p_grid=p_grid,
         n=g.n,
@@ -329,7 +319,6 @@ def sweep(g, config):
         coupled=config.coupled,
         master_seed=config.master_seed,
     )
-    stats = np.concatenate([run(u) for u in units])  # (trial, grid point, stat)
     for j, name in enumerate(STAT_NAMES):
         result.stats[name] = stats[:, :, j].T.copy()
     return result.finalize()

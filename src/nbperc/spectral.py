@@ -165,14 +165,17 @@ def _blocks(op, ncomp, labels, nontrivial):
             yield _forward(op)
         return
     dim, src, dst = _operator_pairs(op)
-    comp_src = labels[src]
-    same = comp_src == labels[dst]
+    # Stable sorts by block make each block a slice, in vertex and pair order.
+    members = np.argsort(labels, kind="stable")
+    first = np.searchsorted(labels[members], np.arange(ncomp + 1))
+    local = np.empty(dim, dtype=np.int64)
+    local[members] = np.arange(dim) - first[labels[members]]
+    inner = np.flatnonzero(labels[src] == labels[dst])
+    inner = inner[np.argsort(labels[src[inner]], kind="stable")]
+    ptr = np.searchsorted(labels[src[inner]], np.arange(ncomp + 1))
     for comp in nontrivial:
-        mask = same & (comp_src == comp)
-        members = np.flatnonzero(labels == comp)
-        local = np.full(dim, -1, dtype=np.int64)
-        local[members] = np.arange(len(members))
-        yield _pair_matrix(len(members), local[src[mask]], local[dst[mask]])
+        pairs = inner[ptr[comp]:ptr[comp + 1]]
+        yield _pair_matrix(first[comp + 1] - first[comp], local[src[pairs]], local[dst[pairs]])
 
 
 def _solve(op, tol, max_iter):

@@ -97,6 +97,15 @@ class TestBuild:
             assert h.pair_u.tolist() == u.tolist()
             assert h.pair_v.tolist() == v.tolist()
 
+    def test_operator_is_made_from_its_graph_only(self, k4sym):
+        # No operator holds other pairs than all of its graph's transitions,
+        # so its strong labels may come from the graph's structure.
+        h, made = HashimotoOperator(k4sym), build_hashimoto(k4sym)
+        assert h.graph is k4sym and h.pair_u.dtype == h.pair_v.dtype == np.int64
+        assert np.array_equal(h.pair_u, made.pair_u) and np.array_equal(h.pair_v, made.pair_v)
+        with pytest.raises(TypeError):
+            HashimotoOperator(k4sym, made.pair_u[::2], made.pair_v[::2])
+
     def test_build_memory_is_bounded(self):
         # Loading a graph peaks in this build.  In units of one int64 array
         # per candidate (arcs after arc u: out-degree of head(u)), the build
@@ -256,10 +265,10 @@ class TestTrace:
                 mat = mat @ dense
                 assert traces[s - 1] == int(np.trace(mat))
 
-    def test_cap(self, k4sym):
-        h = build_hashimoto(k4sym)
+    def test_cap(self):
+        h = build_hashimoto(gen_cycle(hashimoto.EXACT_TRACE_CAP + 1))
         with pytest.raises(CapExceededError):
-            trace_power(h, 3, cap=5)
+            trace_power(h, 3)
 
 
 def _sym(n, edges):
@@ -368,19 +377,6 @@ class TestStrongLabelCertificates:
             self._check(g, calls)
             certified += not calls
         assert 50 < certified < 250, certified  # both paths are exercised
-
-    def test_operator_from_other_pairs_is_solved(self, monkeypatch):
-        """Labels come from g's structure only for build_hashimoto's own
-        operator: one holding a subset of the transitions is solved."""
-        g = _lattice(4)
-        full = build_hashimoto(g)
-        keep = np.arange(len(full.pair_u)) % 2 == 0
-        h = HashimotoOperator(g, full.pair_u[keep], full.pair_v[keep])
-        expected = _strong_labels(h.pattern)
-        assert expected[0] > 1
-        calls = _solves(monkeypatch)
-        _assert_same_labels(h.strong_labels, expected)
-        assert [id(m) for m in calls] == [id(h.pattern)]
 
     @staticmethod
     def _check(g, calls):

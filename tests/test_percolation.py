@@ -496,16 +496,17 @@ class TestSweep:
     def test_matches_per_point_oracle(self, g, coupled, monkeypatch):
         # Bitwise against one strong-component solve per grid point, with
         # one grid point (independent) or trial (coupled) per block, a few
-        # per block and the default.  The coupled
-        # pass walks the grid in ascending order, so it also runs on grids
-        # that are unsorted, repeat a p, are descending, or have more points
-        # than a uint8 step index holds.
+        # per block and the default.  Both modes scatter each row into its
+        # grid columns, and the coupled pass walks the grid in ascending
+        # order, so they also run on grids that are unsorted, repeat a p or
+        # are descending; the coupled pass also on more points than a uint8
+        # step index holds.
         from conftest import per_point_sweep_stats
 
-        grids = [(0.0, 0.3, 0.55, 0.8, 0.9, 1.0)]
+        grids = [(0.0, 0.3, 0.55, 0.8, 0.9, 1.0), (0.8, 0.0, 0.55, 1.0, 0.3, 0.9),
+                 (0.3, 0.55, 0.9, 0.55, 1.0, 0.3), (1.0, 0.9, 0.8, 0.55, 0.3, 0.0)]
         if coupled:
-            grids += [(0.8, 0.0, 0.55, 1.0, 0.3, 0.9), (0.3, 0.55, 0.9, 0.55, 1.0, 0.3),
-                      (1.0, 0.9, 0.8, 0.55, 0.3, 0.0), tuple(np.linspace(0, 1, 301).tolist())]
+            grids.append(tuple(np.linspace(0, 1, 301).tolist()))
         for p_grid in grids:
             config = PercolationConfig(p_grid=p_grid, trials=5, master_seed=7,
                                        coupled=coupled)

@@ -327,6 +327,47 @@ class TestBitwiseProducts:
             assert np.array_equal(b @ x, want)
 
 
+def _cycles(lengths, seed):
+    """Disjoint directed cycles of the given lengths, arcs in a random order."""
+    starts = np.cumsum([0, *lengths])
+    tails = np.arange(starts[-1])
+    heads = tails + 1
+    heads[starts[1:] - 1] = starts[:-1]
+    return _shuffled(DiGraph.from_arrays(starts[-1], tails, heads), seed)
+
+
+BLOCK_GRAPHS = {
+    "triangles": _cycles([3] * 300, 0),
+    "cycles": _cycles(list(range(2, 40)) * 3, 1),
+    **{f"er{seed}": PRODUCT_GRAPHS[f"er{seed}"] for seed in range(3)},
+    "er-union": _shuffled(gen_erdos_renyi_digraph(400, 0.004, 7), 7),
+}
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("operator", ["A", "H"])
+    @pytest.mark.parametrize("name", list(BLOCK_GRAPHS))
+    def test_matches_a_mask_per_block(self, name, operator):
+        """Every block's COO holds the entries of one mask per block, in
+        the same order, so every product sums its terms as before."""
+        g = BLOCK_GRAPHS[name]
+        op = g if operator == "A" else build_hashimoto(g)
+        ncomp, labels = op.strong_labels
+        nontrivial = np.flatnonzero(np.bincount(labels, minlength=ncomp) > 1)
+        blocks = list(spectral._blocks(op, ncomp, labels, nontrivial))
+        assert ncomp > 1 and len(blocks) == len(nontrivial) > 0
+        dim, src, dst = spectral._operator_pairs(op)
+        for b, comp in zip(blocks, nontrivial):
+            mask = (labels[src] == comp) & (labels[dst] == comp)
+            members = np.flatnonzero(labels == comp)
+            local = np.full(dim, -1, dtype=np.int64)
+            local[members] = np.arange(len(members))
+            want = spectral._pair_matrix(len(members), local[src[mask]], local[dst[mask]])
+            assert b.shape == want.shape
+            for got, expected in ((b.row, want.row), (b.col, want.col), (b.data, want.data)):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
 SINGLE_SOLVE_GRAPHS = {
     "empty": DiGraph(3, []),
     "one-arc": DiGraph(2, [(0, 1)]),
