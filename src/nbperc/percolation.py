@@ -19,6 +19,15 @@ measure_components is one row with every vertex open.  The largest out-
 and in-component masses are those that the condensation's sources reach,
 one SciPy breadth-first search per source.
 
+A fully symmetric graph (every arc's reverse is an arc) has only
+symmetric open subgraphs, whose strong components are their connected
+components.  Its pass takes the arcs with tail < head and makes one
+undirected solve per grid point; no arc joins two components, so none is
+carried and no reach mass is searched: the largest out- and in-components
+are the largest strong one.  The block size still counts every arc of
+the graph, which keeps a block's rows, and the sweep's peak memory, those
+of the strong pass.
+
 Out-component probabilities take one of two kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
 when the open sets that hold the root are no more than the rows (at most
@@ -136,7 +145,7 @@ def sample_open_set(n, p, rng):
     return rng.random(n) < p
 
 
-def _nested_stats(n, tails, heads, draws, grid, giant):
+def _nested_stats(n, tails, heads, draws, grid, giant, symmetric):
     """Component statistics of a block of open subgraph sequences at every
     point of the ascending grid, in one pass.
 
@@ -151,6 +160,12 @@ def _nested_stats(n, tails, heads, draws, grid, giant):
     which a new arc can close a cycle.  The rows' graphs form one disjoint
     union, with one strong-component solve per grid point.  A component
     is giant when it holds more than giant vertices.
+
+    symmetric says the arcs are the tail < head halves of a graph whose
+    every arc has its reverse (see _kernel_arcs).  Then each open subgraph
+    is symmetric too: its strong components are the connected components
+    of the halves, one undirected solve per grid point finds them, and no
+    arc ever joins two of them, so none is carried.
 
     Returns a (len(draws), len(grid), len(STAT_NAMES)) int64 array, as
     _component_stats.
@@ -172,6 +187,7 @@ def _nested_stats(n, tails, heads, draws, grid, giant):
     # The node of each open vertex, int32 as SciPy's component labels.
     node = np.zeros(rows * n, dtype=np.int32)
     sizes = node_row = np.zeros(0, dtype=np.int64)  # node_row: the node's row
+    ct = ch = np.zeros(0, dtype=np.int32)  # the arcs between components
     stats = np.zeros((k, rows, len(STAT_NAMES)), dtype=np.int64)
     for i in range(k):
         new = v_by_step[v_ptr[i]:v_ptr[i + 1]]
@@ -200,15 +216,16 @@ def _nested_stats(n, tails, heads, draws, grid, giant):
         # in tail order, without repeats: already the CSR order.
         contracted = csr_matrix((np.broadcast_to(1.0, len(h)), h, _offsets(t, nodes)),
                                 shape=(nodes, nodes))
-        ncomp, comp = _cc(contracted, directed=True, connection="strong")
+        ncomp, comp = _cc(contracted, directed=not symmetric, connection="strong")
         weights = np.concatenate((sizes, np.ones(len(new), dtype=np.int64)))
         sizes = np.bincount(comp, weights=weights, minlength=ncomp).astype(np.int64)
         comp_row = np.empty(ncomp, dtype=np.int64)
         comp_row[comp] = node_row
         node, node_row = comp[node], comp_row
-        ct, ch = comp[t], comp[h]
-        cross = ct != ch
-        ct, ch = ct[cross], ch[cross]
+        if not symmetric:
+            ct, ch = comp[t], comp[h]
+            cross = ct != ch
+            ct, ch = ct[cross], ch[cross]
         stats[i] = _component_stats(rows, comp_row, sizes, ct, ch, giant)
     return stats.transpose(1, 0, 2)
 
@@ -269,11 +286,24 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
     """Component statistics of an (induced) digraph with all vertices open."""
     if n_reference is None:
         n_reference = g_open.n
-    order = g_open.out_order
+    tails, heads, symmetric = _kernel_arcs(g_open)
     # Draws of -1 open every vertex at the one grid point 0.
-    stats = _nested_stats(g_open.n, g_open.tails[order], g_open.heads[order],
-                          np.full((1, g_open.n), -1.0), (0.0,), giant_fraction * n_reference)
+    stats = _nested_stats(g_open.n, tails, heads, np.full((1, g_open.n), -1.0), (0.0,),
+                          giant_fraction * n_reference, symmetric)
     return ComponentStats(*stats[0, 0].tolist())
+
+
+def _kernel_arcs(g):
+    """(tails, heads, symmetric): the arcs _nested_stats takes for g, sorted
+    by tail.  When every arc of g has its reverse (symmetric), they are
+    the arcs with tail < head, one per pair, sorted by head within a tail
+    as in g.pattern; else all of g's arcs."""
+    if 2 * g.symmetric_pair_count == g.n_arcs:
+        pattern = g.pattern
+        tails = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
+        half = tails < pattern.indices
+        return tails[half], pattern.indices[half].astype(np.int64), True
+    return g.tails[g.out_order], g.heads[g.out_order], False
 
 
 def sweep(g, config):
@@ -289,10 +319,13 @@ def sweep(g, config):
     p_grid = tuple(float(p) for p in config.p_grid)
     n = g.n
     gf = config.giant_fraction
-    tails, heads = g.tails[g.out_order], g.heads[g.out_order]  # as _nested_stats takes them
+    tails, heads, symmetric = _kernel_arcs(g)
     # A block holds at most BLOCK_ENTRIES vertices and arcs, and its rows
     # (trial, grid columns, stream key, shift) come from one unit: all
-    # trials (coupled), or one trial's grid points (independent).
+    # trials (coupled), or one trial's grid points (independent).  It
+    # counts all of g's arcs even when a symmetric g passes half of them:
+    # sizing by the halves would double a lattice block's rows and the
+    # sweep's peak memory.
     per_block = max(1, BLOCK_ENTRIES // max(g.n_arcs, n, 1))
     if config.coupled:
         order = np.argsort(p_grid, kind="stable")
@@ -308,7 +341,7 @@ def sweep(g, config):
             block = unit[i:i + per_block]
             draws = np.array([trial_rng(config.master_seed, *key).random(n) - shift
                               for _, _, key, shift in block])
-            block_stats = _nested_stats(n, tails, heads, draws, grid, gf * n)
+            block_stats = _nested_stats(n, tails, heads, draws, grid, gf * n, symmetric)
             for (t, cols, _, _), row in zip(block, block_stats):
                 stats[t, cols] = row
     result = SweepResult(
@@ -507,15 +540,21 @@ def estimate_threshold(sr, criterion="giant-fraction-crossing", target="scc"):
     largest-component fraction across the giant_fraction level.
     criterion "susceptibility-peak": grid argmax of the mean second-largest
     component size with 3-point quadratic refinement.
+    Both read the grid points in ascending p, whatever the sweep's grid
+    order; a p that appears twice raises ValueError, as the slope over a
+    zero-width step is undefined.
     Returns (p_c estimate, uncertainty).
     """
     stat = {"scc": "largest_scc", "out": "largest_out", "in": "largest_in"}.get(target)
     if stat is None:
         raise ValueError(f"unknown target {target!r}")
-    p = np.asarray(sr.p_grid)
+    order = np.argsort(sr.p_grid, kind="stable")
+    p = np.asarray(sr.p_grid, dtype=np.float64)[order]
+    if (np.diff(p) == 0).any():
+        raise ValueError("the sweep's grid repeats a probability")
     if criterion == "giant-fraction-crossing":
-        frac = sr.means[stat] / sr.n
-        err = sr.stderrs[stat] / sr.n
+        frac = sr.means[stat][order] / sr.n
+        err = sr.stderrs[stat][order] / sr.n
         level = sr.giant_fraction
         for i in range(len(p) - 1):
             lo, hi = frac[i], frac[i + 1]
@@ -530,7 +569,7 @@ def estimate_threshold(sr, criterion="giant-fraction-crossing", target="scc"):
             f"mean {stat} fraction never crosses {level} on the grid"
         )
     if criterion == "susceptibility-peak":
-        chi = sr.means["second_scc"]
+        chi = sr.means["second_scc"][order]
         i = int(np.argmax(chi))
         pc, unc = float(p[i]), float(np.max(np.diff(p)) if len(p) > 1 else 0.0)
         if 0 < i < len(p) - 1:

@@ -40,6 +40,25 @@ def grid_sym(side):
     return DiGraph(side * side, arcs)
 
 
+def shuffled_arcs(g, seed):
+    """g with its arc ids permuted."""
+    order = np.random.default_rng(seed).permutation(g.n_arcs)
+    return DiGraph.from_arrays(g.n, g.tails[order], g.heads[order])
+
+
+def without_arc(g, a):
+    """g without arc a."""
+    keep = np.arange(g.n_arcs) != a
+    return DiGraph.from_arrays(g.n, g.tails[keep], g.heads[keep])
+
+
+def sym_islands():
+    """A symmetric path, triangle and edge among 20 vertices, 11 of them
+    isolated."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (8, 9), (9, 10), (8, 10), (14, 15)]
+    return DiGraph(20, [arc for u, v in edges for arc in ((u, v), (v, u))])
+
+
 def fan(sources):
     """sources vertices 0.., each with one arc to the head of a chain of
     sources more vertices."""
@@ -120,6 +139,29 @@ class TestMeasure:
         # 2,000 condensation sources, each reaching the 2,000-vertex chain.
         st = measure_components(fan(2000))
         assert (st.largest_out, st.largest_in) == (2001, 4000)
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(grid_sym(10), id="lattice10"),
+        pytest.param(shuffled_arcs(gen_random_regular_sym(60, 3, 5), 1), id="regular60-shuffled"),
+        pytest.param(sym_islands(), id="sym-islands20"),
+        pytest.param(without_arc(grid_sym(10), 11), id="lattice10-one-way"),
+        pytest.param(without_arc(gen_complete_sym(8), 3), id="complete8-one-way"),
+    ])
+    def test_matches_point_oracle(self, g):
+        # Open induced subgraphs of symmetric inputs are symmetric; those of
+        # the one-way inputs are symmetric unless both ends of the missing
+        # arc's reverse are open, as at p = 1.
+        from conftest import _point_stats
+
+        symmetric = []
+        for p in (0.4, 0.7, 1.0):
+            for seed in range(4):
+                mask = sample_open_set(g.n, p, trial_rng(seed, 3))
+                sub, _ = induced_subgraph(g, np.flatnonzero(mask))
+                symmetric.append(2 * sub.symmetric_pair_count == sub.n_arcs)
+                expected = percolation.ComponentStats(*_point_stats(g, mask, 0.05))
+                assert measure_components(sub, 0.05, n_reference=g.n) == expected
+        assert all(symmetric) == (2 * g.symmetric_pair_count == g.n_arcs)
 
     def test_out_component_matches_bruteforce(self):
         from conftest import reachability_closure
@@ -491,6 +533,9 @@ class TestSweep:
         pytest.param(diamond_chain(20), id="diamonds20"),
         pytest.param(DiGraph(1, []), id="one-vertex"),
         pytest.param(DiGraph(0, []), id="empty"),
+        pytest.param(shuffled_arcs(gen_random_regular_sym(30, 3, 2), 0), id="regular30-shuffled"),
+        pytest.param(sym_islands(), id="sym-islands20"),
+        pytest.param(without_arc(grid_sym(6), 7), id="lattice6-one-way"),
     ])
     @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "independent"])
     def test_matches_per_point_oracle(self, g, coupled, monkeypatch):
@@ -604,6 +649,81 @@ class TestSweep:
         assert peak < 16 * 2**20
 
 
+SYMMETRIC_INPUTS = [
+    pytest.param(grid_sym(9), id="lattice9"),
+    pytest.param(gen_star_sym(15), id="star15"),
+    pytest.param(gen_complete_sym(10), id="complete10"),
+    pytest.param(gen_random_regular_sym(50, 3, 3), id="regular50"),
+    pytest.param(shuffled_arcs(gen_random_regular_sym(50, 3, 3), 2), id="regular50-shuffled"),
+]
+
+
+class TestPathSelection:
+    """Which solve runs, counted per call rather than timed."""
+
+    def _record(self, monkeypatch, g, run):
+        """run() with recorders on the component solve and the reach-mass
+        search of percolation.  Returns (solves, searches): per solve its
+        (directed, connection, stored arcs, whether its CSR rows are sorted
+        without repeats, open arcs of g in its block at its grid point),
+        and the number of reach-mass searches."""
+        solves, bounds, searches = [], [], []
+        real_cc, real_nested = percolation._cc, percolation._nested_stats
+        real_masses = percolation._source_masses
+
+        def cc(csgraph, **kwargs):
+            rows = np.repeat(np.arange(csgraph.shape[0]), np.diff(csgraph.indptr))
+            ordered = bool((np.diff(rows * csgraph.shape[1] + csgraph.indices) > 0).all())
+            solves.append((kwargs["directed"], kwargs.get("connection"), csgraph.nnz, ordered))
+            return real_cc(csgraph, **kwargs)
+
+        def nested(n, tails, heads, draws, grid, *args):
+            # A pass solves once at each grid point where some vertex opens.
+            opens = draws[:, :, None] < np.asarray(grid)  # (rows, n, grid points)
+            open_vertices = opens.sum(axis=(0, 1))
+            open_arcs = (opens[:, g.tails] & opens[:, g.heads]).sum(axis=(0, 1))
+            bounds.extend(open_arcs[np.diff(open_vertices, prepend=0) > 0].tolist())
+            return real_nested(n, tails, heads, draws, grid, *args)
+
+        def masses(*args):
+            searches.append(args)
+            return real_masses(*args)
+
+        monkeypatch.setattr(percolation, "_cc", cc)
+        monkeypatch.setattr(percolation, "_nested_stats", nested)
+        monkeypatch.setattr(percolation, "_source_masses", masses)
+        run()
+        assert len(solves) == len(bounds) > 0
+        return [s + (b,) for s, b in zip(solves, bounds)], len(searches)
+
+    @staticmethod
+    def _runs(g):
+        config = dict(p_grid=tuple(np.linspace(0.1, 1.0, 10).tolist()), trials=6,
+                      master_seed=4)
+        return {
+            "coupled": lambda: sweep(g, PercolationConfig(coupled=True, **config)),
+            "independent": lambda: sweep(g, PercolationConfig(coupled=False, **config)),
+            "measure": lambda: measure_components(g),
+        }
+
+    @pytest.mark.parametrize("mode", ["coupled", "independent", "measure"])
+    @pytest.mark.parametrize("g", SYMMETRIC_INPUTS)
+    def test_symmetric_inputs_solve_half_the_arcs_undirected(self, g, mode, monkeypatch):
+        solves, searches = self._record(monkeypatch, g, self._runs(g)[mode])
+        assert all(directed is False for directed, _, _, _, _ in solves)
+        assert all(ordered for _, _, _, ordered, _ in solves)
+        assert all(2 * nnz <= open_arcs for _, _, nnz, _, open_arcs in solves)
+        assert any(nnz for _, _, nnz, _, _ in solves)
+        assert searches == 0
+
+    @pytest.mark.parametrize("mode", ["coupled", "independent", "measure"])
+    @pytest.mark.parametrize("g", SYMMETRIC_INPUTS)
+    def test_one_missing_reverse_arc_solves_strong(self, g, mode, monkeypatch):
+        g = without_arc(g, 0)
+        solves, _ = self._record(monkeypatch, g, self._runs(g)[mode])
+        assert all(s[:2] == (True, "strong") for s in solves)
+
+
 class TestThreshold:
     def _synthetic(self, p_grid, fracs, n=1000):
         sr = SweepResult(
@@ -625,6 +745,27 @@ class TestThreshold:
         sr = self._synthetic([0.1, 0.2], [0.0, 0.0])
         with pytest.raises(NoCrossingError):
             estimate_threshold(sr)
+
+    def test_grid_order_is_irrelevant(self):
+        # A coupled sweep draws the same vertices whatever its grid order,
+        # so both estimates equal those of the ascending grid exactly.
+        g = gen_random_regular_sym(2000, 3, 1)
+        estimates = []
+        for p_grid in ((0.3, 0.4, 0.5, 0.6, 0.7), (0.7, 0.6, 0.5, 0.4, 0.3),
+                       (0.5, 0.3, 0.7, 0.4, 0.6)):
+            sr = sweep(g, PercolationConfig(p_grid=p_grid, trials=20, master_seed=1))
+            estimates.append([estimate_threshold(sr, criterion=c)
+                              for c in ("giant-fraction-crossing", "susceptibility-peak")])
+        assert estimates[0][0] == pytest.approx((0.3233, 0.0714), abs=1e-4)
+        assert estimates[0][1][1] > 0
+        assert estimates[1] == estimates[0]
+        assert estimates[2] == estimates[0]
+
+    @pytest.mark.parametrize("criterion", ["giant-fraction-crossing", "susceptibility-peak"])
+    def test_repeated_p_is_rejected(self, criterion):
+        sr = self._synthetic([0.1, 0.2, 0.2, 0.3], [0.001, 0.003, 0.02, 0.05])
+        with pytest.raises(ValueError, match="repeats"):
+            estimate_threshold(sr, criterion=criterion)
 
     def test_susceptibility_peak(self):
         sr = self._synthetic([0.1, 0.2, 0.3], [0.001, 0.003, 0.001])
