@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity
+from scipy.sparse import identity
 from scipy.sparse.linalg import splu
 
 from .errors import BoundDomainError, CapExceededError
@@ -97,8 +97,7 @@ def sac_bound_logdet(p, h, rho_h):
         )
     if rho_h == 0.0:
         return 0.0
-    pairs = csc_matrix((np.full(len(h.pair_u), p), (h.pair_u, h.pair_v)), shape=(k, k))
-    lu = splu(identity(k, format="csc") - pairs)
+    lu = splu(identity(k, format="csc") - (p * h.pattern).tocsc())
     return max(0.0, -float(np.log(np.abs(lu.U.diagonal())).sum()))
 
 

@@ -233,7 +233,7 @@ def _parse_bytes(text, undirected):
     Loading a graph peaks here, so the per-byte arrays are uint8 or bool
     and each array is dropped once used."""
     data = np.frombuffer(text.encode("ascii"), np.uint8)
-    cls = _BYTE_CLASS[data]
+    cls = _BYTE_CLASS.take(data)
     breaks = np.flatnonzero(cls == _BREAK)
     other = np.flatnonzero(cls == _OTHER)
     # A word is a run of digit and other bytes: its start and end are
@@ -242,8 +242,19 @@ def _parse_bytes(text, undirected):
     np.greater_equal(cls, _DIGIT, out=in_word[1:-1])
     edges = np.flatnonzero(in_word[1:] != in_word[:-1])
     starts, ends = edges.reshape(-1, 2).T
-    del cls, in_word
-    line = np.searchsorted(breaks, starts)  # lines count "\r\n" as two breaks
+    del in_word
+    # A word's line (lines count "\r\n" as two breaks) is the previous
+    # word's, plus the breaks in the gap between them.  A one-byte gap is a
+    # break or a space; only a wider one needs a search of the breaks.
+    gap = np.empty_like(ends)  # where each word's gap starts: the previous word's end
+    gap[:1] = 0  # the first word's gap is all the text before it
+    gap[1:] = ends[:-1]
+    step = (cls.take(gap) == _BREAK).astype(np.int64)
+    del cls
+    wide = np.flatnonzero(starts - gap != 1)
+    step[wide] = np.searchsorted(breaks, starts[wide]) - np.searchsorted(breaks, gap[wide])
+    line = np.cumsum(step)
+    del step, gap
     first = np.ones(len(starts), dtype=bool)  # the word opens its line
     np.not_equal(line[1:], line[:-1], out=first[1:])
     comment = first & (data[starts] == ord("#"))
@@ -269,7 +280,10 @@ def _parse_bytes(text, undirected):
     ids = np.zeros(len(ends), dtype=np.int64)
     for k in range(width, 0, -1):  # the k-th digit from each word's end
         ids *= 10
-        ids += np.where(lens >= k, np.take(data, ends - k, mode="clip") - ord("0"), 0)
+        digit = np.take(data, ends - k, mode="clip")
+        digit -= ord("0")
+        digit *= lens >= k
+        ids += digit
     max_id = int(ids.max(initial=-1))
     if declared_n is not None and max_id >= declared_n:
         raise ValueError(f"vertex id {max_id} exceeds declared count {declared_n}")
@@ -370,12 +384,13 @@ def _format_block(tails, heads):
     field = np.empty(ids.shape + (groups + 1,), dtype=np.uint32)
     field[:, 0, groups] = ord(" ")
     field[:, 1, groups] = ord("\n")
-    digits = 1 + np.searchsorted(10 ** np.arange(1, width, dtype=np.int64), ids, side="right")
-    lead = 4 * groups - digits  # padding zeros before each id's first digit
+    lead = np.full(ids.shape, 4 * groups - 1)  # padding zeros before each id's first digit
+    for k in range(1, width):
+        lead -= ids >= 10 ** k
     rest = ids
     for k in range(groups - 1, -1, -1):  # group k holds the digits 4k..4k+3 of the field
         rest, low = np.divmod(rest, 10_000)
-        field[:, :, k] = _QUADS[low] & _BLANK[np.clip(lead - 4 * k, 0, 4)]
+        field[:, :, k] = _QUADS.take(low) & _BLANK.take(np.clip(lead - 4 * k, 0, 4))
     return field.tobytes().translate(None, b"\0")
 
 

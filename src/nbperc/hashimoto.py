@@ -1,11 +1,12 @@
 """Non-backtracking transition operator on arcs and its oriented line graph.
 
-The operator is stored as flat transition arrays: arc v follows arc
-u = i->j iff tail(v) = j and head(v) != i.  Those transitions are exactly
-the arcs of the oriented line graph (OLG), so one structure serves both
-roles.  A CSR pattern of the transitions and the OLG's strong components
-are derived on first use and cached; the components come from g's
-structure where a theorem settles them, and from a solve otherwise.
+The operator is stored as the arrays of one CSR pattern of its
+transitions: arc v follows arc u = i->j iff tail(v) = j and head(v) != i.
+Those transitions are exactly the arcs of the oriented line graph (OLG),
+so one structure serves both roles.  The SciPy matrix over those arrays
+and the OLG's strong components are made on first use and cached; the
+components come from g's structure where a theorem settles them, and
+from a solve otherwise.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .graph import _csr_pattern, _offsets, _one_component, _split, _strong_labels
+from .graph import _csr_pattern, _one_component, _split, _strong_labels
 
 EXACT_TRACE_CAP = 5000
 # Transition budget: the most candidate transitions, sum over arcs of
@@ -27,12 +28,16 @@ MAX_TRANSITIONS = 40_000_000
 class HashimotoOperator:
     """Non-backtracking operator of a simple digraph g.
 
-    ``pair_u`` / ``pair_v`` hold every transition (v follows u) as flat
-    int64 arrays, ordered by u then by v's arc id.  The rule on arrays: the
-    candidates after arc u are the arcs leaving head(u), listed per u in
-    out-CSR (arc-id) order; the one that returns to tail(u) is dropped.
-    More than MAX_TRANSITIONS candidates raise CapExceededError before any
-    candidate-sized array is allocated.
+    The build stores every transition (v follows u) once, as the row
+    pointer and int32 column ids of an n_arcs x n_arcs CSR matrix, row u
+    holding the arcs that follow u in ascending arc id; ``pattern`` is
+    that matrix, of float64 ones.  The rule on arrays: the candidates
+    after arc u are the arcs leaving head(u), listed per u in out-CSR
+    (arc-id) order; the one that returns to tail(u) is dropped.  More
+    than MAX_TRANSITIONS candidates raise CapExceededError before any
+    candidate-sized array is allocated.  The pattern's products sum each
+    entry's terms in stored order, so ``pattern.T @ x`` is bitwise equal
+    to np.bincount(pair_v, weights=x[pair_u]).
     """
 
     def __init__(self, g):
@@ -46,15 +51,23 @@ class HashimotoOperator:
             )
         # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
         # Loading a graph peaks here, so at most three candidate-sized arrays
-        # are alive at once: u is built only to be compressed.
+        # are alive at once, and none of them holds u.
         v = np.repeat(first - (np.cumsum(fan) - fan), fan)
         v += np.arange(len(v))
         v = g.out_order[v]
         keep = g.heads[v] != np.repeat(g.tails, fan)
+        # Arc u drops a candidate iff it has a reverse arc, and drops that
+        # reverse.  Reversal maps the arcs that have a reverse onto
+        # themselves, so the dropped candidates are exactly those arcs,
+        # each once.  SciPy would store int32 indices anyway.  np.compress:
+        # a boolean index is several times slower on a mask without long
+        # runs.
+        index = np.int32 if g.n_arcs < 2**31 else np.int64
+        indptr = np.zeros(g.n_arcs + 1, dtype=index)
+        indptr[1:] = np.cumsum(fan - np.bincount(np.compress(~keep, v), minlength=g.n_arcs))
         self.graph = g
         self.n_arcs = g.n_arcs
-        self.pair_u = np.repeat(np.arange(g.n_arcs, dtype=np.int64), fan)[keep]
-        self.pair_v = v[keep]
+        self._csr = indptr, np.compress(keep, v).astype(index)
 
     @property
     def dim(self):
@@ -62,11 +75,23 @@ class HashimotoOperator:
 
     @cached_property
     def pattern(self):
-        """The transitions as an n_arcs x n_arcs CSR matrix of float64 ones,
-        row u holding the arcs that follow u.  pair_u is sorted and pair_v
-        ascends within each u, so the rows need no sort.  Its products sum
-        each entry's terms in pair order, bitwise as np.bincount does."""
-        return _csr_pattern(self.n_arcs, _offsets(self.pair_u, self.n_arcs), self.pair_v)
+        """The CSR matrix of the transitions, over the row pointer and
+        column ids that the build stored, without a copy.  It is made on
+        first read: SciPy's constructor and the float64 ones cost a small
+        graph about as much again as the rest of its build."""
+        return _csr_pattern(self.n_arcs, *self._csr)
+
+    @property
+    def pair_u(self):
+        """The transitions' u as a fresh int64 array, sorted: row ids of
+        the pattern's entries in stored order."""
+        return np.repeat(np.arange(self.n_arcs, dtype=np.int64), np.diff(self.pattern.indptr))
+
+    @property
+    def pair_v(self):
+        """The transitions' v as a fresh int64 array, ascending within each
+        u: the pattern's column ids in stored order."""
+        return self.pattern.indices.astype(np.int64)
 
     @cached_property
     def strong_labels(self):
@@ -119,7 +144,7 @@ def trace_powers(h, s_max):
         raise CapExceededError(
             f"exact trace needs n_arcs <= {EXACT_TRACE_CAP}, got {h.n_arcs}"
         )
-    succ = _split(h.pair_v.tolist(), _offsets(h.pair_u, h.n_arcs))
+    succ = _split(h.pattern.indices.tolist(), h.pattern.indptr)
     traces = [0] * (s_max + 1)
     for e0 in range(h.n_arcs):
         vec = {e0: 1}

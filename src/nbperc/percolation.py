@@ -213,7 +213,7 @@ def _nested_stats(n, tails, heads, draws, grid, giant, symmetric):
             t = key // nodes
             h = key - t * nodes
         # Else the new nodes are numbered in vertex order and the arcs come
-        # in tail order, without repeats: already the CSR order.
+        # by tail and then by head, without repeats: already the CSR order.
         contracted = csr_matrix((np.broadcast_to(1.0, len(h)), h, _offsets(t, nodes)),
                                 shape=(nodes, nodes))
         ncomp, comp = _cc(contracted, directed=not symmetric, connection="strong")
@@ -294,16 +294,17 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
 
 
 def _kernel_arcs(g):
-    """(tails, heads, symmetric): the arcs _nested_stats takes for g, sorted
-    by tail.  When every arc of g has its reverse (symmetric), they are
-    the arcs with tail < head, one per pair, sorted by head within a tail
-    as in g.pattern; else all of g's arcs."""
+    """(tails, heads, symmetric): the arcs _nested_stats takes for g, in
+    g.pattern's order, by tail and then by head.  When every arc of g has
+    its reverse (symmetric), they are the arcs with tail < head, one per
+    pair; else all of g's arcs."""
+    pattern = g.pattern
+    tails = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
+    heads = pattern.indices.astype(np.int64)
     if 2 * g.symmetric_pair_count == g.n_arcs:
-        pattern = g.pattern
-        tails = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
-        half = tails < pattern.indices
-        return tails[half], pattern.indices[half].astype(np.int64), True
-    return g.tails[g.out_order], g.heads[g.out_order], False
+        half = tails < heads
+        return tails[half], heads[half], True
+    return tails, heads, False
 
 
 def sweep(g, config):

@@ -15,9 +15,12 @@ the bracket of a positive vector.  An acyclic (nilpotent) operator
 is detected structurally and reported as an exact zero.  One solve of H
 also yields OLG strong connectivity and the left Perron vector.
 
-The blocks come from the operator's cached strong labeling, and every
-product is a sparse matrix product that sums each entry's terms in pair
-order, so it is bitwise equal to np.bincount(dst, weights=x[src]).
+The blocks come from the operator's cached strong labeling.  A single
+block of H is its stored CSR pattern, transposed; only a reducible
+operator's blocks are built, from its (src, dst) pairs, which H derives
+from that pattern.  Every product is a sparse matrix product that sums
+each entry's terms in pair order, so it is bitwise equal to
+np.bincount(dst, weights=x[src]).
 """
 from __future__ import annotations
 
@@ -65,12 +68,11 @@ class SpectralRadiusResult:
 
 
 def _operator_pairs(op):
-    """(dim, src, dst) arc pairs of the operator's digraph."""
+    """(dim, src, dst) arc pairs of the operator's digraph; H derives its
+    pairs from its pattern on each call."""
     if isinstance(op, HashimotoOperator):
         return op.n_arcs, op.pair_u, op.pair_v
-    if isinstance(op, DiGraph):
-        return op.n, op.tails, op.heads
-    raise TypeError(f"unsupported operator type {type(op).__name__}")
+    return op.n, op.tails, op.heads
 
 
 def _pair_matrix(k, src, dst):
@@ -184,12 +186,13 @@ def _solve(op, tol, max_iter):
     NonConvergenceError.  Returns (SpectralRadiusResult, a member of the
     smallest block or None, the Perron vector when ``op`` is a single
     block else None)."""
+    if not isinstance(op, (HashimotoOperator, DiGraph)):
+        raise TypeError(f"unsupported operator type {type(op).__name__}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    dim = _operator_pairs(op)[0]
-    if max_iter is None:
-        max_iter = 10 * dim + 1000
     ncomp, labels = op.strong_labels
+    if max_iter is None:
+        max_iter = 10 * len(labels) + 1000
     sizes = np.bincount(labels, minlength=ncomp)
     nontrivial = np.flatnonzero(sizes > 1)
     best_lo = best_hi = 0.0
@@ -228,13 +231,13 @@ def adjacency_spectral_radius(g, tol=DEFAULT_TOL, max_iter=None):
 def induced_norms(h):
     """(max row sum, max column sum) of the operator, exact integers.
 
-    Row sum of arc u is its successor count; column sum of arc v is its
-    predecessor count.
+    Row sum of arc u is its successor count, the length of its pattern
+    row; column sum of arc v is its predecessor count.
     """
     if h.n_arcs == 0:
         return 0, 0
-    norm_row = int(np.bincount(h.pair_u, minlength=h.n_arcs).max())
-    norm_col = int(np.bincount(h.pair_v, minlength=h.n_arcs).max())
+    norm_row = int(np.diff(h.pattern.indptr).max())
+    norm_col = int(np.bincount(h.pattern.indices, minlength=h.n_arcs).max())
     return norm_row, norm_col
 
 

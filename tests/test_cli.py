@@ -12,6 +12,7 @@ from nbperc import cli, graph, spectral
 from nbperc.cli import build_analysis_document, main
 from nbperc.generators import gen_erdos_renyi_digraph, gen_random_regular_sym
 from nbperc.graph import MAX_VERTICES, DiGraph, parse_edge_list
+from nbperc.hashimoto import build_hashimoto
 
 from conftest import grid_edge_text
 
@@ -377,6 +378,19 @@ class TestGoldenBytes:
             tmp_path, ["regular", "200", "3", "--seed", "1"], [*self.SIMULATE, "--independent"],
             capsys,
         ) == "a07325cba20cac599b621c65bec178551b323bfa272ab9111be8a2148d6df7a5"
+
+    def test_analyze_reducible_digest(self, tmp_path, capsys):
+        # A directed input whose H has four nontrivial strong blocks (44,
+        # 15, 13 and 3 arcs), so rho_H is solved block by block from H's
+        # pairs; its 1,192 arcs are under the trace cap, so sac_trace
+        # factorises I - pH.
+        args = ["er", "1000", "0.0012", "--seed", "4"]
+        assert self.digest(tmp_path, args, ["analyze", "--format", "json"], capsys) == (
+            "b54550b28c6829d6a7386caafe8321b8c1833b9e320f0c159f93c142ef4c6975")
+        h = build_hashimoto(parse_edge_list((tmp_path / "g.txt").read_text()))
+        ncomp, labels = h.strong_labels
+        sizes = np.bincount(labels, minlength=ncomp)
+        assert sorted(sizes[sizes > 1].tolist()) == [3, 13, 15, 44]
 
     def test_analyze_grid_digest(self, tmp_path, capsys, monkeypatch):
         # rho_A sums the in-arcs of each vertex in arc-id order.  An

@@ -253,6 +253,56 @@ def test_corrupted_plain_ascii_fails_as_the_line_scan_does():
     assert checked > 200
 
 
+def _wide_gap_edge_list(rng):
+    """(text, undirected): plain ASCII edge-list text whose words are
+    parted by gaps of several bytes ("\r\n", blank lines, runs of spaces
+    and tabs, runs of \x1c-\x1e breaks), with comments and '#n' headers
+    right after such gaps.  A header below the largest id, or malformed,
+    makes the text invalid."""
+    breaks = ["\r\n", "\n\n", "\r\n\r\n", "\n \n", "\n\t\t\n", "\x1c\x1d", "\x1e\x1e\x1e",
+              "\x1d\r\n", "\n", "\x1c"]
+    spaces = [" ", "  ", "\t\t", " \t ", "\x1f\x1f", "\t"]
+    undirected = rng.random() < 0.5
+    n = rng.randint(2, 9)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 12))}
+    pairs = [p if undirected or rng.random() < 0.5 else p[::-1] for p in sorted(pairs)]
+    top = max(max(p) for p in pairs)
+    headers = [f"#n {top + 1}", f"#n {top + 3}", "# a 1 2", "#", "#\t1"]
+    if rng.random() < 0.2:
+        headers += [f"#n {top}", "#n", "#n 4 5", "#n x"]
+    words = []
+    for u, v in pairs:
+        if rng.random() < 0.3:
+            words.append(rng.choice(breaks) + rng.choice(["", " ", "\t  "]) + rng.choice(headers))
+        words.append(rng.choice(breaks) + rng.choice(["", "  ", "\t"]) + str(u)
+                     + rng.choice(spaces) + str(v) + rng.choice(["", "  ", "\t"]))
+    if rng.random() < 0.5:  # the text opens with a word, or spaces then a word
+        words[0] = words[0].lstrip("\r\n\x1c\x1d\x1e")
+    return "".join(words) + rng.choice(["", "\r\n\r\n", " \n"]), undirected
+
+
+def _error_text(outcome):
+    """A parse outcome with an error's line prefix removed: the bulk
+    reader counts "\r\n" as two breaks."""
+    if isinstance(outcome[0], int):
+        return outcome
+    return re.sub(r"^line [0-9]+: ", "", outcome[1])
+
+
+def test_bulk_reader_numbers_lines_across_wide_gaps():
+    # The bulk reader finds a word's line from the byte before it where
+    # that is its whole gap, and searches the breaks for wider gaps.
+    rng = random.Random(13)
+    valid = 0
+    for _ in range(400):
+        text, undirected = _wide_gap_edge_list(rng)
+        want = _outcome(_parse_lines, text, undirected)
+        got = _outcome(_parse_bytes, text, undirected)
+        assert _error_text(got) == _error_text(want), repr(text)
+        valid += isinstance(want[0], int)
+    assert 200 < valid < 400
+
+
 def test_byte_reader_width_limit():
     # 18 digits are read in bulk, all of them ...
     with pytest.raises(ValueError, match="vertex id 999999999999999999 exceeds declared count 5"):

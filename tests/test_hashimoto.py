@@ -20,7 +20,8 @@ from nbperc import (
     trace_power,
     trace_powers,
 )
-from nbperc import graph, hashimoto
+from nbperc import cli, graph, hashimoto
+from nbperc.cli import build_analysis_document
 from nbperc.errors import CapExceededError, DimensionMismatchError, NotStronglyConnectedError
 from nbperc.generators import _sym_arcs
 from nbperc.graph import _strong_labels
@@ -121,6 +122,27 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 8 * candidates
+
+    def test_operator_holds_one_csr_built_once(self, monkeypatch):
+        # The operator keeps its transitions once, in the CSR that every
+        # solve and bound reads: at most float64 ones and int32 column ids
+        # per transition, plus a row pointer.  Pair arrays held beside it
+        # read 16 bytes per transition more.
+        g = gen_random_regular_sym(20000, 3, 1)
+        tracemalloc.start()
+        try:
+            h = build_hashimoto(g)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pattern = h.pattern
+        assert held <= pattern.data.nbytes + pattern.indices.nbytes + pattern.indptr.nbytes + 2**16
+        # An analysis of g reads that same CSR and builds no other.
+        built = []
+        monkeypatch.setattr(cli, "build_hashimoto", lambda graph: built.append(graph) or h)
+        monkeypatch.setattr(hashimoto, "_csr_pattern", lambda *args: pytest.fail("a second CSR"))
+        build_analysis_document(g, [0.5])
+        assert built == [g] and h.pattern is pattern
 
     def test_transition_budget_checked_before_the_build(self):
         # 10^8 candidates would take about 4.5 GB; the check reads only

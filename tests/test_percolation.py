@@ -722,6 +722,7 @@ class TestPathSelection:
         g = without_arc(g, 0)
         solves, _ = self._record(monkeypatch, g, self._runs(g)[mode])
         assert all(s[:2] == (True, "strong") for s in solves)
+        assert all(ordered for _, _, _, ordered, _ in solves)
 
 
 class TestThreshold:
