@@ -8,7 +8,6 @@ values in both.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
@@ -40,7 +39,6 @@ from .generators import (
     gen_star_sym,
 )
 from .graph import (
-    _arc_blocks,
     is_robustly_strongly_connected,
     parse_edge_list,
     serialize_edge_list,
@@ -62,18 +60,6 @@ ROBUST_CHECK_BUDGET = 10_000_000
 CURVES = ("theorem1_out", "theorem1_in", "improved_out", "sac_closed", "sac_trace")
 
 
-def _input_digest(g):
-    """sha256 of f"{n}\n" and the arcs' "t h" lines, without a final newline,
-    fed one formatted block at a time."""
-    digest = hashlib.sha256(f"{g.n}\n".encode("ascii"))
-    last = b""
-    for block in _arc_blocks(g.tails, g.heads):
-        digest.update(last)
-        last = block
-    digest.update(memoryview(last)[:-1])
-    return digest.hexdigest()
-
-
 def _fmt(x):
     """Serialize a float exactly (17 significant digits round-trips)."""
     if x is None:
@@ -85,9 +71,9 @@ def _fmt(x):
     return x
 
 
-def _load_graph(path, undirected):
+def _load_graph(path, undirected, digest=False):
     with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read(), undirected=undirected)
+        return parse_edge_list(fh.read(), undirected=undirected, digest=digest)
 
 
 def _parse_p_list(text):
@@ -134,7 +120,7 @@ def build_analysis_document(g, p_grid, cycles_max_len=None):
     doc = {
         "tool": "nbperc",
         "version": __version__,
-        "input_digest": _input_digest(g),
+        "input_digest": g.input_digest,
         "graph": {
             "n": g.n,
             "n_arcs": g.n_arcs,
@@ -199,7 +185,7 @@ def _doc_to_csv(doc):
 def cmd_analyze(args):
     if args.cycles is not None and args.cycles < 0:
         raise ParseError(f"--cycles must be >= 0, got {args.cycles}")
-    g = _load_graph(args.input, args.undirected)
+    g = _load_graph(args.input, args.undirected, digest=True)
     p_grid = _parse_p_list(args.p)
     doc = build_analysis_document(
         g, p_grid, cycles_max_len=args.cycles

@@ -9,6 +9,7 @@ structures work on those arrays in bulk.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,8 +32,9 @@ class DiGraph:
             (out_order is a stable argsort of tails).
 
     These arrays are the whole representation; callers that walk the
-    graph slice them.  ``pattern``, ``symmetric_pair_count`` and
-    ``strong_labels`` are derived from them on first use and cached.
+    graph slice them.  ``pattern``, ``symmetric_pair_count``,
+    ``strong_labels`` and ``input_digest`` are derived on first use and
+    cached.
     """
 
     def __init__(self, n, arcs):
@@ -64,7 +66,7 @@ class DiGraph:
             raise GraphStructureError(f"negative vertex count {n}")
         tails = np.array(tails, dtype=np.int64)
         heads = np.array(heads, dtype=np.int64)
-        found = _first_invalid_arc(n, tails, heads)
+        found, keys = _first_invalid_arc(n, tails, heads)
         if found is not None:
             aid, reason = found
             t, h = (int(x) for x in (shown[aid] if shown is not None
@@ -87,6 +89,10 @@ class DiGraph:
         self.heads = heads
         self.out_ptr = out_ptr
         self.out_order = out_order
+        # The sorted keys tail·n + head are the pattern's entries in row
+        # order, so their heads are its column ids.
+        self._pattern_cols = np.empty(m, dtype=_index_dtype(n))  # ids below n fit
+        np.remainder(keys, max(n, 1), out=self._pattern_cols, casting="unsafe")
 
     @property
     def n_arcs(self):
@@ -94,20 +100,20 @@ class DiGraph:
 
     @cached_property
     def pattern(self):
-        """Adjacency as an n x n CSR matrix of float64 ones, built from the
-        out-CSR.  Its rows are sorted by head: SciPy numbers strong
-        components in search order, and sorted rows keep the numbering of a
-        matrix built from (tail, head) pairs."""
-        pattern = _csr_pattern(self.n, self.out_ptr, self.heads[self.out_order])
-        pattern.sort_indices()
-        return pattern
+        """Adjacency as an n x n CSR matrix of float64 ones over the out-CSR
+        and the column ids built with the graph, made on first read.  Its
+        rows are sorted by head: SciPy numbers strong components in search
+        order, and sorted rows keep the numbering of a matrix built from
+        (tail, head) pairs."""
+        return _csr_pattern(self.n, self.out_ptr, self._pattern_cols)
 
     @cached_property
     def symmetric_pair_count(self):
-        """len(symmetric_arc_pairs(g)) from one sparse product: an arc whose
-        reverse is an arc too is an entry of the pattern and of its
-        transpose, and each pair gives two such entries (a graph has no
-        self-loops)."""
+        """len(symmetric_arc_pairs(g)).  build_hashimoto(g) fills it from
+        the candidates its build drops; otherwise it comes from one sparse
+        product: an arc whose reverse is an arc too is an entry of the
+        pattern and of its transpose, and each pair gives two such entries
+        (a graph has no self-loops)."""
         return self.pattern.multiply(self.pattern.T).nnz // 2
 
     @cached_property
@@ -125,6 +131,14 @@ class DiGraph:
             return _one_component(self.n)
         return _strong_labels(self.pattern)
 
+    @cached_property
+    def input_digest(self):
+        """The analyze document's input_digest: sha256 of f"{n}\n" and the
+        arcs' "t h" lines in arc order, without the final newline.
+        parse_edge_list(..., digest=True) fills it from the input's bytes
+        where they are that listing."""
+        return _input_digest(self)
+
     def out_degree(self, v):
         return int(self.out_ptr[v + 1] - self.out_ptr[v])
 
@@ -141,9 +155,10 @@ class DiGraph:
 
 
 def _first_invalid_arc(n, tails, heads):
-    """(arc id, reason) of the earliest arc that leaves 0..n-1, is a
-    self-loop or repeats an earlier arc; None when every arc is valid.
-    At one arc the reasons are checked in that order."""
+    """(found, keys): found is the (arc id, reason) of the earliest arc
+    that leaves 0..n-1, is a self-loop or repeats an earlier arc, or None
+    when every arc is valid, and then keys are the arcs' tails·n + heads,
+    sorted.  At one arc the reasons are checked in that order."""
     outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
     loop = tails == heads
     # Out-of-range arcs get distinct negative keys, so they repeat nothing.
@@ -155,9 +170,15 @@ def _first_invalid_arc(n, tails, heads):
         repeat[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     bad = np.flatnonzero(outside | loop | repeat)
     if len(bad) == 0:
-        return None
+        return None, sorted_key
     aid = int(bad[0])
-    return aid, "range" if outside[aid] else "loop" if loop[aid] else "duplicate"
+    return (aid, "range" if outside[aid] else "loop" if loop[aid] else "duplicate"), None
+
+
+def _index_dtype(top):
+    """np.int32 for indices and positions below top when top <= 2**31,
+    else np.int64."""
+    return np.int32 if top <= 2**31 else np.int64
 
 
 def _offsets(keys, size):
@@ -197,16 +218,17 @@ class ComponentLabeling:
 MAX_VERTICES = 1 << 24
 # Byte classes of the bulk reader: the ASCII bytes where str.splitlines()
 # breaks, the rest of str.split()'s ASCII whitespace, digits, and the rest.
+# The table is a bytes.translate table: one C pass maps every byte to its
+# class without widening it to an index.
 _BREAK, _SPACE, _DIGIT, _OTHER = range(4)
-_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
-_BYTE_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
-_BYTE_CLASS[list(b" \t\x1f")] = _SPACE
-_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS = bytes(_BREAK if b in b"\n\r\x0b\x0c\x1c\x1d\x1e"
+                    else _SPACE if b in b" \t\x1f"
+                    else _DIGIT if b in b"0123456789" else _OTHER for b in range(256))
 # Longest id the bulk reader converts: 10**18 - 1 fits in int64.
 _MAX_DIGITS = 18
 
 
-def parse_edge_list(text, undirected=False):
+def parse_edge_list(text, undirected=False, digest=False):
     """Parse whitespace-separated edge-list text into a DiGraph.
 
     Lines starting with '#' are comments, except an optional header
@@ -218,46 +240,58 @@ def parse_edge_list(text, undirected=False):
     Plain ASCII text with digit-only ids is read in bulk from its bytes.
     Any other text, valid or not, is read line by line, which takes every
     spelling int() takes and raises the ParseError of the first bad line.
+
+    With ``digest`` set, a text read in bulk that is the canonical arc
+    listing (an optional comment line, then exactly "t h\n" per arc, read
+    without ``undirected``) gives the graph's input_digest from its own
+    bytes, so no arc is formatted and no input byte is held afterwards.
     """
     try:
-        return _parse_bytes(text, undirected)
+        return _parse_bytes(text, undirected, digest)
     except ValueError:  # ParseError, GraphStructureError and UnicodeError too
         return _parse_lines(text, undirected)
 
 
-def _parse_bytes(text, undirected):
+def _parse_bytes(text, undirected, digest=False):
     """parse_edge_list of plain ASCII text whose ids are digits only, read
     from its bytes in bulk.  Raises ValueError for any other text, valid
     or not; line numbers in its errors are not meaningful.
 
-    Loading a graph peaks here, so the per-byte arrays are uint8 or bool
-    and each array is dropped once used."""
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    cls = _BYTE_CLASS.take(data)
-    breaks = np.flatnonzero(cls == _BREAK)
-    other = np.flatnonzero(cls == _OTHER)
+    Loading a graph peaks here, so the per-byte arrays are uint8 or bool,
+    the per-word positions int32 (on texts under 2**31 bytes), and each
+    array is dropped once used.  Gathers by int32 positions use take:
+    NumPy's fancy indexing has no fast path for them and runs two to
+    three times slower."""
+    raw = text.encode("ascii")
+    data = np.frombuffer(raw, np.uint8)
+    cls = np.frombuffer(raw.translate(_BYTE_CLASS), np.uint8)
     # A word is a run of digit and other bytes: its start and end are
     # consecutive edges of that class.
     in_word = np.zeros(len(data) + 2, dtype=bool)
     np.greater_equal(cls, _DIGIT, out=in_word[1:-1])
     edges = np.flatnonzero(in_word[1:] != in_word[:-1])
-    starts, ends = edges.reshape(-1, 2).T
     del in_word
+    # NumPy gives positions as intp only: they are narrowed here, before
+    # any other per-word array is made.
+    edges = edges.astype(_index_dtype(len(data) + 1))
+    starts, ends = edges.reshape(-1, 2).T
+    breaks = np.flatnonzero(cls == _BREAK)
+    other = np.flatnonzero(cls == _OTHER)
     # A word's line (lines count "\r\n" as two breaks) is the previous
     # word's, plus the breaks in the gap between them.  A one-byte gap is a
     # break or a space; only a wider one needs a search of the breaks.
     gap = np.empty_like(ends)  # where each word's gap starts: the previous word's end
     gap[:1] = 0  # the first word's gap is all the text before it
     gap[1:] = ends[:-1]
-    step = (cls.take(gap) == _BREAK).astype(np.int64)
+    line = (cls.take(gap) == _BREAK).astype(edges.dtype)
     del cls
     wide = np.flatnonzero(starts - gap != 1)
-    step[wide] = np.searchsorted(breaks, starts[wide]) - np.searchsorted(breaks, gap[wide])
-    line = np.cumsum(step)
-    del step, gap
+    line[wide] = np.searchsorted(breaks, starts[wide]) - np.searchsorted(breaks, gap[wide])
+    np.cumsum(line, dtype=line.dtype, out=line)
+    del gap
     first = np.ones(len(starts), dtype=bool)  # the word opens its line
     np.not_equal(line[1:], line[:-1], out=first[1:])
-    comment = first & (data[starts] == ord("#"))
+    comment = first & (data.take(starts) == ord("#"))
     comment_lines = line[comment]
     is_comment = np.zeros(len(breaks) + 1, dtype=bool)  # per line
     is_comment[comment_lines] = True
@@ -269,7 +303,7 @@ def _parse_bytes(text, undirected):
             declared_n = count
     if not is_comment[np.searchsorted(breaks, other)].all():
         raise ValueError("a non-digit byte outside comments")
-    body = ~is_comment[line]
+    body = ~is_comment.take(line)
     ends, lens, line = ends[body], (ends - starts)[body], line[body]
     del edges, starts
     if len(line) % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
@@ -289,10 +323,39 @@ def _parse_bytes(text, undirected):
         raise ValueError(f"vertex id {max_id} exceeds declared count {declared_n}")
     if max_id >= MAX_VERTICES:
         raise ValueError(f"vertex id {max_id} over the vertex budget")
+    n = max_id + 1 if declared_n is None else declared_n
+    input_digest = None
+    if digest and not undirected:
+        start = int(breaks[0]) + 1 if is_comment[0] and len(breaks) else 0  # after a comment line
+        if _canonical_body(data, start, ends, ids, width):
+            sha = hashlib.sha256(f"{n}\n".encode("ascii"))
+            sha.update(memoryview(raw)[start:-1])
+            input_digest = sha.hexdigest()
+    # Only the ids stay alive while the graph is built.
+    del raw, data, breaks, ends, lens, line, body, first, comment
     tails, heads = ids[0::2], ids[1::2]
     if undirected:
         tails, heads = np.stack([tails, heads], 1).ravel(), np.stack([heads, tails], 1).ravel()
-    return DiGraph.from_arrays(max_id + 1 if declared_n is None else declared_n, tails, heads)
+    g = DiGraph.from_arrays(n, tails, heads)
+    if input_digest is not None:
+        g.__dict__["input_digest"] = input_digest
+    return g
+
+
+def _canonical_body(data, start, ends, ids, width):
+    """Whether data[start:] is exactly "t h\n" per arc for the ids that
+    its words spell, each word ending just before ends[i].
+
+    Each tail word is followed by a space and each head word by a newline
+    (a head word at the end of the text fails that), at distinct
+    positions, and no id word is shorter than its canonical spelling.  So
+    the body holds at least the canonical digits plus 2m bytes, and
+    exactly that many only when no id has a leading zero and the body
+    holds nothing else: no other comment, blank line, tab or CR."""
+    digits = len(ids) + sum(int(np.count_nonzero(ids >= 10 ** k)) for k in range(1, width))
+    return (len(data) - start == digits + len(ends)
+            and bool((data.take(ends[0::2]) == ord(" ")).all())
+            and bool((np.take(data, ends[1::2], mode="clip") == ord("\n")).all()))
 
 
 def _header(line, lineno):
@@ -392,6 +455,18 @@ def _format_block(tails, heads):
         rest, low = np.divmod(rest, 10_000)
         field[:, :, k] = _QUADS.take(low) & _BLANK.take(np.clip(lead - 4 * k, 0, 4))
     return field.tobytes().translate(None, b"\0")
+
+
+def _input_digest(g):
+    """DiGraph.input_digest of anything with n, tails and heads, fed to
+    sha256 one formatted block at a time."""
+    digest = hashlib.sha256(f"{g.n}\n".encode("ascii"))
+    last = b""
+    for block in _arc_blocks(g.tails, g.heads):
+        digest.update(last)
+        last = block
+    digest.update(memoryview(last)[:-1])
+    return digest.hexdigest()
 
 
 def serialize_edge_list(g):

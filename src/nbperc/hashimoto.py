@@ -15,13 +15,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
-from .graph import _csr_pattern, _one_component, _split, _strong_labels
+from .graph import _csr_pattern, _index_dtype, _one_component, _split, _strong_labels
 
 EXACT_TRACE_CAP = 5000
 # Transition budget: the most candidate transitions, sum over arcs of
 # out-degree(head), that an operator takes.  An analyze peaks at about
 # 45 bytes per candidate (stars of up to 2,500 leaves), so this budget
-# keeps its peak near 1.9 GB.
+# keeps its peak near 1.9 GB.  It stays below 2**31, so the build holds
+# candidate positions in the arc ids' dtype.
 MAX_TRANSITIONS = 40_000_000
 
 
@@ -41,8 +42,13 @@ class HashimotoOperator:
     """
 
     def __init__(self, g):
-        first = g.out_ptr[g.heads]
-        fan = g.out_ptr[g.heads + 1] - first
+        # Arc ids and out-CSR offsets are at most n_arcs, and candidate
+        # positions below MAX_TRANSITIONS < 2**31 once the budget is
+        # checked: the build's arrays are int32 when n_arcs < 2**31.
+        index = _index_dtype(g.n_arcs + 1)
+        ptr = g.out_ptr.astype(index)
+        first = ptr[g.heads]
+        fan = ptr[1:][g.heads] - first
         candidates = int(fan.sum())
         if candidates > MAX_TRANSITIONS:
             raise CapExceededError(
@@ -51,23 +57,27 @@ class HashimotoOperator:
             )
         # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
         # Loading a graph peaks here, so at most three candidate-sized arrays
-        # are alive at once, and none of them holds u.
-        v = np.repeat(first - (np.cumsum(fan) - fan), fan)
-        v += np.arange(len(v))
-        v = g.out_order[v]
-        keep = g.heads[v] != np.repeat(g.tails, fan)
+        # are alive at once, besides the intp copy that take makes of its
+        # indices, and none of them holds u.  Fancy indexing would skip
+        # that copy but has no fast path for int32 indices.
+        v = np.repeat(first - (np.cumsum(fan, dtype=index) - fan), fan)
+        v += np.arange(len(v), dtype=index)
+        v = g.out_order.astype(index).take(v)
+        keep = g.heads.astype(index).take(v) != np.repeat(g.tails.astype(index), fan)
         # Arc u drops a candidate iff it has a reverse arc, and drops that
         # reverse.  Reversal maps the arcs that have a reverse onto
         # themselves, so the dropped candidates are exactly those arcs,
-        # each once.  SciPy would store int32 indices anyway.  np.compress:
-        # a boolean index is several times slower on a mask without long
-        # runs.
-        index = np.int32 if g.n_arcs < 2**31 else np.int64
+        # each once: half their count is g's symmetric_pair_count.
+        # np.compress: a boolean index is several times slower on a mask
+        # without long runs.
+        indices = np.compress(keep, v)
+        fan -= np.bincount(np.compress(~keep, v), minlength=g.n_arcs)  # kept per u
         indptr = np.zeros(g.n_arcs + 1, dtype=index)
-        indptr[1:] = np.cumsum(fan - np.bincount(np.compress(~keep, v), minlength=g.n_arcs))
+        np.cumsum(fan, out=indptr[1:])
+        g.__dict__.setdefault("symmetric_pair_count", (candidates - len(indices)) // 2)
         self.graph = g
         self.n_arcs = g.n_arcs
-        self._csr = indptr, np.compress(keep, v).astype(index)
+        self._csr = indptr, indices
 
     @property
     def dim(self):

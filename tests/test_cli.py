@@ -430,7 +430,7 @@ class TestInputDigest:
         tails = np.array(ids, dtype=np.int64)
         heads = tails[::-1].copy()
         g = SimpleNamespace(n=MAX_VERTICES, tails=tails, heads=heads)
-        assert cli._input_digest(g) == _old_digest(g.n, tails, heads)
+        assert graph._input_digest(g) == _old_digest(g.n, tails, heads)
 
     @pytest.mark.parametrize("g", [
         pytest.param(DiGraph(0, []), id="n0"),
@@ -441,7 +441,7 @@ class TestInputDigest:
         pytest.param(gen_erdos_renyi_digraph(300, 0.02, 3), id="er"),
     ])
     def test_graphs(self, g):
-        assert cli._input_digest(g) == _old_digest(g.n, g.tails, g.heads)
+        assert graph._input_digest(g) == _old_digest(g.n, g.tails, g.heads)
 
     @pytest.mark.parametrize("block", [1, 2, 3, graph._FORMAT_BLOCK])
     @pytest.mark.parametrize("g", [
@@ -456,13 +456,85 @@ class TestInputDigest:
         header, _, arcs = graph.serialize_edge_list(g).partition("\n")
         expected = hashlib.sha256(f"{header[3:]}\n{arcs[:-1]}".encode("ascii")).hexdigest()
         monkeypatch.setattr(graph, "_FORMAT_BLOCK", block)
-        assert cli._input_digest(g) == expected
+        assert graph._input_digest(g) == expected
 
     def test_document_digest(self, c3_file):
         with open(c3_file) as fh:
             g = parse_edge_list(fh.read())
         doc = build_analysis_document(g, [0.5])
         assert doc["input_digest"] == _old_digest(3, g.tails, g.heads)
+
+
+_CANONICAL = "0 1\n1 12\n12 105\n105 0\n10 9\n"
+
+
+class TestDigestFromInputBytes:
+    """parse_edge_list(..., digest=True) hashes a canonical listing's own
+    bytes and formats the arcs of every other input; both give the digest
+    that the arcs' "%d %d" text gives."""
+
+    @staticmethod
+    def parse(text, monkeypatch, undirected=False):
+        """(text parsed with digest=True, whether the formatter made its
+        input_digest); the digest is checked against the "%d %d" text."""
+        formatted = []
+        real = graph._input_digest
+        monkeypatch.setattr(graph, "_input_digest", lambda g: formatted.append(g) or real(g))
+        g = parse_edge_list(text, undirected=undirected, digest=True)
+        assert g.input_digest == _old_digest(g.n, g.tails, g.heads)
+        return g, bool(formatted)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("#n 200\n" + _CANONICAL, id="header"),
+        pytest.param("# made by hand, 5 arcs\n" + _CANONICAL, id="other-comment"),
+        pytest.param(_CANONICAL, id="no-header"),
+        pytest.param("  #n 106\n" + _CANONICAL, id="indented-header"),
+        pytest.param("#n 4\n", id="header-only"),
+        pytest.param("", id="empty"),
+        pytest.param(graph.serialize_edge_list(gen_erdos_renyi_digraph(300, 0.02, 3)), id="er"),
+    ])
+    def test_canonical_bytes_are_hashed(self, text, monkeypatch):
+        assert self.parse(text, monkeypatch)[1] is False
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_CANONICAL.replace(" ", "\t", 1), id="tab"),
+        pytest.param(_CANONICAL.replace("\n", "\r", 1), id="cr"),
+        pytest.param(_CANONICAL.replace("\n", "\r\n"), id="crlf"),
+        pytest.param("#n 200\r\n" + _CANONICAL, id="crlf-header"),
+        pytest.param(_CANONICAL.replace("12 105", "12 0105"), id="leading-zero"),
+        pytest.param(_CANONICAL.replace("\n", "\n\n", 1), id="blank-line"),
+        pytest.param("\n" + _CANONICAL, id="blank-first-line"),
+        pytest.param(_CANONICAL.replace("\n", " \n", 1), id="trailing-space"),
+        pytest.param(" " + _CANONICAL, id="leading-space"),
+        pytest.param(_CANONICAL[:-1], id="no-final-newline"),
+        pytest.param(_CANONICAL + "\n", id="two-final-newlines"),
+        pytest.param("#n 200\n" + _CANONICAL.replace("\n", "\n# note\n", 1), id="later-comment"),
+        pytest.param(_CANONICAL + "#n 200\n", id="last-line-header"),
+        pytest.param("#n 200\n" + _CANONICAL + "\x0b", id="trailing-break"),
+        pytest.param("#n 4", id="header-without-newline"),
+        pytest.param(_CANONICAL.replace("0 1", "+0 1"), id="line-scan"),
+    ])
+    def test_other_spellings_are_formatted(self, text, monkeypatch):
+        g, formatted = self.parse(text, monkeypatch)
+        assert formatted
+        # The canonical spelling of the same graph is hashed from its bytes.
+        canonical, formatted = self.parse(graph.serialize_edge_list(g), monkeypatch)
+        assert not formatted and canonical.input_digest == g.input_digest
+
+    def test_undirected_input_is_formatted(self, monkeypatch):
+        g, formatted = self.parse(_CANONICAL, monkeypatch, undirected=True)
+        assert formatted and g.input_digest != self.parse(_CANONICAL, monkeypatch)[0].input_digest
+
+    def test_analyze_prints_the_same_digest(self, tmp_path, capsys):
+        digests = set()
+        for name, text in (("canonical", "#n 106\n" + _CANONICAL),
+                           ("crlf", "#n 106\r\n" + _CANONICAL.replace("\n", "\r\n"))):
+            path = tmp_path / name
+            path.write_bytes(text.encode("ascii"))
+            code, out, _ = run_cli(["analyze", str(path), "--format", "csv"], capsys)
+            assert code == 0
+            digests.add(out)
+        assert len(digests) == 1
 
 
 class TestSolveCount:

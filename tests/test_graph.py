@@ -315,15 +315,35 @@ def test_byte_reader_width_limit():
 
 def test_parse_memory_is_bounded():
     # One Python str per token read 75 MB; the byte reader keeps a few
-    # arrays per byte (uint8) and per word (int64).
+    # arrays per byte (uint8) and per word (int32), and peaked at 27.1 MB
+    # here (38.6 MB with int64 positions).  Hashing the input's bytes adds
+    # no copy of them.
     text = serialize_edge_list(gen_random_regular_sym(100000, 3, 1))
-    tracemalloc.start()
-    try:
-        parse_edge_list(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 50 * 2**20
+    for digest in (False, True):
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text, digest=digest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ("input_digest" in vars(g)) == digest
+        assert peak < 29 * 2**20
+
+
+def test_positions_are_int32_under_2_gib(monkeypatch):
+    # A text of 2**31 bytes is not made: the parser asks _index_dtype for
+    # positions up to its length, and that switches at 2**31.
+    for size, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        assert graph._index_dtype(size + 1) is dtype
+    text = serialize_edge_list(gen_erdos_renyi_digraph(40, 0.2, 1))
+    asked = []
+    real = graph._index_dtype
+    monkeypatch.setattr(graph, "_index_dtype", lambda top: asked.append(top) or real(top))
+    expected = arc_pairs(_parse_bytes(text, False))
+    assert len(text) + 1 in asked
+    # The int64 positions read the same graph.
+    monkeypatch.setattr(graph, "_index_dtype", lambda top: np.int64)
+    assert arc_pairs(_parse_bytes(text, False)) == expected
 
 
 class TestDiGraph:

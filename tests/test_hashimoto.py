@@ -98,6 +98,46 @@ class TestBuild:
             assert h.pair_u.tolist() == u.tolist()
             assert h.pair_v.tolist() == v.tolist()
 
+    @pytest.mark.parametrize("reversed_share", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_counts_pairs_of_random_digraphs(self, reversed_share, seed):
+        # Random digraphs whose arcs have a reverse never, sometimes or always.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        key = rng.choice(n * n, size=int(rng.integers(0, 4 * n)), replace=False)
+        u, v = key // n, key % n
+        u, v = np.minimum(u, v)[u != v], np.maximum(u, v)[u != v]
+        _, first = np.unique(u * n + v, return_index=True)
+        u, v = u[first], v[first]
+        flip = rng.random(len(u)) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        both = rng.random(len(u)) < reversed_share
+        order = rng.permutation(len(u) + int(both.sum()))
+        tails, heads = np.r_[u, v[both]][order], np.r_[v, u[both]][order]
+        self.check_pair_count(DiGraph.from_arrays(n, tails, heads))
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(DiGraph(2, [(0, 1), (1, 0)]), id="2-cycle"),
+        pytest.param(DiGraph(6, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (1, 2)]),
+                     id="three-2-cycles"),
+        pytest.param(DiGraph(0, []), id="empty"),
+        pytest.param(DiGraph(3, []), id="no-arcs"),
+        pytest.param(gen_erdos_renyi_digraph(300, 0.02, 3), id="er"),
+        pytest.param(gen_random_regular_sym(100, 3, 2), id="regular"),
+    ])
+    def test_build_counts_pairs_of_fixed_graphs(self, g):
+        self.check_pair_count(g)
+
+    @staticmethod
+    def check_pair_count(g):
+        """symmetric_pair_count read after the build equals the sparse
+        product's on a fresh graph without H."""
+        fresh = DiGraph.from_arrays(g.n, g.tails, g.heads)
+        build_hashimoto(g)
+        assert "symmetric_pair_count" in vars(g)  # filled by the build, not read yet
+        assert g.symmetric_pair_count == fresh.symmetric_pair_count
+        assert g.symmetric_pair_count == len(symmetric_arc_pairs(g))
+
     def test_operator_is_made_from_its_graph_only(self, k4sym):
         # No operator holds other pairs than all of its graph's transitions,
         # so its strong labels may come from the graph's structure.
@@ -108,12 +148,11 @@ class TestBuild:
             HashimotoOperator(k4sym, made.pair_u[::2], made.pair_v[::2])
 
     def test_build_memory_is_bounded(self):
-        # Loading a graph peaks in this build.  In units of one int64 array
-        # per candidate (arcs after arc u: out-degree of head(u)), the build
-        # holds at most three candidate arrays at once and returns two
-        # thirds of one each for pair_u and pair_v here: about 4.0 in all.
-        # Holding u and v alongside both comparison operands read 5.8.
-        g = gen_random_regular_sym(20000, 3, 1)
+        # Loading a graph peaks in this build.  In units of one int32 array
+        # per candidate (arcs after arc u: out-degree of head(u)), the
+        # int32 build peaked at 5.1 on this graph, two of them the intp
+        # copy that take makes of its indices.  The int64 build read 8.0.
+        g = gen_random_regular_sym(100000, 3, 1)
         candidates = int(np.diff(g.out_ptr)[g.heads].sum())
         tracemalloc.start()
         try:
@@ -121,7 +160,7 @@ class TestBuild:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * 8 * candidates
+        assert peak < 5.5 * 4 * candidates
 
     def test_operator_holds_one_csr_built_once(self, monkeypatch):
         # The operator keeps its transitions once, in the CSR that every
