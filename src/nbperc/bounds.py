@@ -4,13 +4,15 @@ Every bound here is evaluated strictly inside its validity domain; a
 violated domain raises BoundDomainError instead of clamping, so a void
 bound can never masquerade as a finite number in a validation sweep.
 The trace series of the self-avoiding-cycle bound is summed in closed
-form, -ln det(I - pH); truncated series come with a rigorous geometric
-tail certificate.
+form, -ln det(I - pH); a truncated series comes with a geometric tail
+bound that is evaluated in exact rationals and rounded up, so it is a
+rigorous certificate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import identity
@@ -105,8 +107,14 @@ def sac_bound_trace(p, h, cutoff, rho_h):
     """Truncated series sum_{s<=cutoff} p^s Tr H^s / s with a tail bound,
     from exact traces: the reference that sac_bound_logdet sums in full.
 
-    Returns (value, tail) where tail = n_E * sum_{s>cutoff} (p*rho)^s / s
-    certifies the truncation error of the dominating closed form.
+    Returns (value, tail).  With x = p*rho_H and S = cutoff, Tr H^s <=
+    n_E rho_H^s bounds the truncated terms by n_E sum_{s>S} x^s / s <=
+    n_E x^(S+1) / ((S+1)(1 - x)) = T, which is the tail.  T is evaluated
+    in exact rationals, since p and rho_H are, and rounded to the nearest
+    float, one step further up when that lands below T; so tail >= T
+    with no cancellation, and tail is 0.0 exactly when x is 0.  Rounding
+    x = p*rho_H to a float first would leave an error up to (S+1) ulps
+    in x^(S+1), which a fixed widening does not cover.
     """
     _check_domain(p, rho_h, "rho_H")
     if cutoff < 1:
@@ -115,10 +123,10 @@ def sac_bound_trace(p, h, cutoff, rho_h):
     for s, tr in enumerate(trace_powers(h, cutoff), start=1):
         if tr:
             value += (p ** s) * float(tr) / s
-    x = p * rho_h
-    head = sum((x ** s) / s for s in range(1, cutoff + 1))
-    tail = h.n_arcs * max(0.0, -math.log1p(-x) - head)
-    return value, tail
+    x = Fraction(p) * Fraction(rho_h)
+    exact = h.n_arcs * x ** (cutoff + 1) / ((cutoff + 1) * (1 - x))
+    tail = float(exact)
+    return value, tail if tail >= exact else math.nextafter(tail, math.inf)
 
 
 def compute_bounds_report(sr, h, p_grid):

@@ -36,9 +36,10 @@ class HashimotoOperator:
     after arc u are the arcs leaving head(u), listed per u in out-CSR
     (arc-id) order; the one that returns to tail(u) is dropped.  More
     than MAX_TRANSITIONS candidates raise CapExceededError before any
-    candidate-sized array is allocated.  The pattern's products sum each
-    entry's terms in stored order, so ``pattern.T @ x`` is bitwise equal
-    to np.bincount(pair_v, weights=x[pair_u]).
+    candidate-sized array is allocated.  The pattern is the operator's
+    only representation: its products sum each entry's terms in stored
+    order, so ``pattern.T @ x`` is bitwise equal to np.bincount(v,
+    weights=x[u]) over the transitions (u, v) listed by u, then v.
     """
 
     def __init__(self, g):
@@ -90,18 +91,6 @@ class HashimotoOperator:
         first read: SciPy's constructor and the float64 ones cost a small
         graph about as much again as the rest of its build."""
         return _csr_pattern(self.n_arcs, *self._csr)
-
-    @property
-    def pair_u(self):
-        """The transitions' u as a fresh int64 array, sorted: row ids of
-        the pattern's entries in stored order."""
-        return np.repeat(np.arange(self.n_arcs, dtype=np.int64), np.diff(self.pattern.indptr))
-
-    @property
-    def pair_v(self):
-        """The transitions' v as a fresh int64 array, ascending within each
-        u: the pattern's column ids in stored order."""
-        return self.pattern.indices.astype(np.int64)
 
     @cached_property
     def strong_labels(self):

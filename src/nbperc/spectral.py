@@ -15,12 +15,11 @@ the bracket of a positive vector.  An acyclic (nilpotent) operator
 is detected structurally and reported as an exact zero.  One solve of H
 also yields OLG strong connectivity and the left Perron vector.
 
-The blocks come from the operator's cached strong labeling.  A single
-block of H is its stored CSR pattern, transposed; only a reducible
-operator's blocks are built, from its (src, dst) pairs, which H derives
-from that pattern.  Every product is a sparse matrix product that sums
-each entry's terms in pair order, so it is bitwise equal to
-np.bincount(dst, weights=x[src]).
+Each operator is one sparse matrix B; the blocks come from its cached
+strong labeling.  A single block is B itself, and a reducible
+operator's blocks are cut from B's entries.  Every product is a sparse
+matrix product that sums each entry's terms in B's stored order, so it
+is bitwise equal to np.bincount(dst, weights=x[src]) over B's pairs.
 """
 from __future__ import annotations
 
@@ -67,28 +66,15 @@ class SpectralRadiusResult:
     iterations: int
 
 
-def _operator_pairs(op):
-    """(dim, src, dst) arc pairs of the operator's digraph; H derives its
-    pairs from its pattern on each call."""
-    if isinstance(op, HashimotoOperator):
-        return op.n_arcs, op.pair_u, op.pair_v
-    return op.n, op.tails, op.heads
-
-
-def _pair_matrix(k, src, dst):
-    """k x k matrix B of the pairs src -> dst (B[dst, src] = 1) kept in pair
-    order: COO products sum each entry's terms in stored order, so B @ x
-    is bitwise equal to np.bincount(dst, weights=x[src], minlength=k)."""
-    return coo_matrix((np.ones(len(src)), (dst, src)), shape=(k, k))
-
-
 def _forward(op):
-    """B of a whole operator.  H's transposed pattern sums in pair order
-    since its pairs are sorted by u; A's out-CSR lists arcs by tail, not by
-    arc id, so A keeps its arcs in arc order."""
+    """B of a whole operator, B[v, u] = 1 per pair u -> v, stored in the
+    order its product sums: H's transposed pattern, by u then v, and A's
+    arcs as a COO in arc order (A's out-CSR lists them by tail)."""
     if isinstance(op, HashimotoOperator):
         return op.pattern.T
-    return _pair_matrix(op.n, op.tails, op.heads)
+    if isinstance(op, DiGraph):
+        return coo_matrix((np.ones(op.n_arcs), (op.heads, op.tails)), shape=(op.n, op.n))
+    raise TypeError(f"unsupported operator type {type(op).__name__}")
 
 
 def _arpack_candidate(b, x, max_iter):
@@ -158,15 +144,16 @@ def _smallest_block_member(labels, sizes):
     return int(np.flatnonzero(labels == int(np.argmin(sizes)))[0])
 
 
-def _blocks(op, ncomp, labels, nontrivial):
-    """B of each nontrivial block of ``op``, in label order.  A single
-    block is the whole operator, used as it is; the others are relabelled
-    to 0..size-1 in vertex order."""
+def _blocks(b, ncomp, labels, nontrivial):
+    """B of each nontrivial block, in label order, cut from the whole B
+    ``b``: a single block is ``b``; the others are relabelled to
+    0..size-1 in vertex order and keep b's entry order, its summing order."""
     if ncomp == 1:
         if len(nontrivial):
-            yield _forward(op)
+            yield b
         return
-    dim, src, dst = _operator_pairs(op)
+    coo = b.tocoo()
+    dst, src, dim = coo.row, coo.col, len(labels)
     # Stable sorts by block make each block a slice, in vertex and pair order.
     members = np.argsort(labels, kind="stable")
     first = np.searchsorted(labels[members], np.arange(ncomp + 1))
@@ -177,7 +164,8 @@ def _blocks(op, ncomp, labels, nontrivial):
     ptr = np.searchsorted(labels[src[inner]], np.arange(ncomp + 1))
     for comp in nontrivial:
         pairs = inner[ptr[comp]:ptr[comp + 1]]
-        yield _pair_matrix(first[comp + 1] - first[comp], local[src[pairs]], local[dst[pairs]])
+        k = first[comp + 1] - first[comp]
+        yield coo_matrix((np.ones(len(pairs)), (local[dst[pairs]], local[src[pairs]])), (k, k))
 
 
 def _solve(op, tol, max_iter):
@@ -186,8 +174,7 @@ def _solve(op, tol, max_iter):
     NonConvergenceError.  Returns (SpectralRadiusResult, a member of the
     smallest block or None, the Perron vector when ``op`` is a single
     block else None)."""
-    if not isinstance(op, (HashimotoOperator, DiGraph)):
-        raise TypeError(f"unsupported operator type {type(op).__name__}")
+    b = _forward(op)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     ncomp, labels = op.strong_labels
@@ -198,8 +185,8 @@ def _solve(op, tol, max_iter):
     best_lo = best_hi = 0.0
     total_it, converged, inverse = 0, True, False
     x = np.ones(1)  # the Perron vector of a one-element operator
-    for b in _blocks(op, ncomp, labels, nontrivial):
-        lo, hi, x, it = _perron(b, tol, max_iter)
+    for block in _blocks(b, ncomp, labels, nontrivial):
+        lo, hi, x, it = _perron(block, tol, max_iter)
         total_it += it
         converged &= hi - lo < tol
         inverse |= it > max_iter

@@ -82,6 +82,16 @@ def build_olg(g):
                                for v, (jp, l) in enumerate(arcs) if jp == j and l != i])
 
 
+def operator_pairs(g, operator):
+    """(dim, src, dst) of operator "A" or "H" of g: its pairs src -> dst in
+    the order its products sum them, A's arcs in arc order and H's
+    transitions as the arcs of build_olg(g), by u, then by v."""
+    if operator == "A":
+        return g.n, g.tails, g.heads
+    olg = build_olg(g)
+    return olg.n, olg.tails, olg.heads
+
+
 def dense_adjacency(g):
     mat = np.zeros((g.n, g.n))
     for t, h in arc_pairs(g):

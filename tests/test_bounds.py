@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nbperc import (
+    DiGraph,
     build_hashimoto,
     compute_bounds_report,
     compute_spectral_report,
@@ -12,18 +14,22 @@ from nbperc import (
     gen_complete_sym,
     gen_cycle,
     gen_erdos_renyi_digraph,
+    gen_path_sym,
     gen_random_regular_sym,
+    gen_star_sym,
     improved_out_bound,
     out_component_probability_bound,
+    parse_edge_list,
     pc_lower_bounds,
     sac_bound_closed,
     sac_bound_logdet,
     sac_bound_trace,
+    spectral_radius,
 )
 from nbperc.errors import BoundDomainError, CapExceededError
 from nbperc.hashimoto import EXACT_TRACE_CAP
 
-from conftest import dense_hashimoto
+from conftest import dense_adjacency, dense_hashimoto
 
 
 class TestPcLowerBounds:
@@ -116,6 +122,21 @@ class TestSacTrace:
         closed = sac_bound_closed(0.3, 2.0, 12)
         assert exact <= value <= closed
 
+    @pytest.mark.parametrize("x, cutoff", [(0.2, 30), (0.6, 40)])
+    def test_tail_bounds_the_exact_tail(self, x, cutoff):
+        # The tail n_E sum_{s>S} x^s / s, summed in exact rationals up to
+        # s = S + 100 and closed by the geometric bound on the rest, is an
+        # upper bound on the true tail; the returned tail must not be
+        # below it.  At these points -log1p(-x) minus the head series
+        # cancels to 0.0 and to a value below the tail.
+        h = build_hashimoto(DiGraph(2, [(0, 1)]))
+        _, tail = sac_bound_trace(x, h, cutoff, 1.0)
+        q, last = Fraction(x), cutoff + 100
+        exact = sum(q ** s / s for s in range(cutoff + 1, last + 1))
+        exact += q ** (last + 1) / ((last + 1) * (1 - q))
+        assert tail >= exact, (tail, float(exact))
+        assert tail <= 3 * float(exact)
+
     def test_trace_below_closed_plus_tail(self):
         for seed in range(6):
             g = gen_erdos_renyi_digraph(8, 0.3, seed)
@@ -154,6 +175,30 @@ class TestSacLogdet:
                 assert value - slack <= got <= value + tail + slack
                 checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(gen_complete_sym(4), id="K4"),
+        pytest.param(gen_random_regular_sym(16, 3, 4), id="regular"),
+        pytest.param(gen_path_sym(5), id="path"),
+        pytest.param(gen_star_sym(4), id="star"),
+        pytest.param(parse_edge_list("0 1\n1 2\n2 3\n3 0\n0 2\n", undirected=True),
+                     id="chord4sym"),
+    ])
+    @pytest.mark.parametrize("target", [0.1, 0.5, 0.9])
+    def test_ihara_bass(self, g, target):
+        # For an undirected graph of m edges, det(I - pH) =
+        # (1 - p^2)^(m - n) det(I - pA + p^2 (D - I)), D the degree
+        # matrix.  A tree's H is nilpotent (rho_H = 0): there p = target.
+        h = build_hashimoto(g)
+        rho_h = spectral_radius(h).rho
+        p = target / rho_h if rho_h else target
+        m = g.n_arcs // 2
+        degree = np.diag(np.bincount(g.tails, minlength=g.n).astype(float))
+        sign, logdet = np.linalg.slogdet(
+            np.eye(g.n) - p * dense_adjacency(g) + p * p * (degree - np.eye(g.n)))
+        assert sign == 1.0
+        want = -((m - g.n) * math.log1p(-p * p) + logdet)
+        assert sac_bound_logdet(p, h, rho_h) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_cycle_closed_form(self, c3):
         # Tr H^s = 3 when 3 | s, else 0: the series is -ln(1 - p^3).

@@ -383,8 +383,8 @@ class TestDiGraph:
         assert chord.out_ptr.tolist() == [0, 2, 3, 4]
         assert chord.out_order.tolist() == [0, 3, 1, 2]
         h = build_hashimoto(c3)
-        assert h.pair_u.tolist() == [0, 1, 2]
-        assert h.pair_v.tolist() == [1, 2, 0]
+        assert h.pattern.indptr.tolist() == [0, 1, 2, 3]
+        assert h.pattern.indices.tolist() == [1, 2, 0]
 
     def test_out_order_is_stable_argsort_of_tails(self):
         rng = np.random.default_rng(3)

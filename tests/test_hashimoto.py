@@ -31,8 +31,9 @@ from conftest import arc_pairs, build_olg, dense_hashimoto
 
 
 def successors(h, u):
-    """Ids of the arcs that may follow arc u, read from the transition arrays."""
-    return h.pair_v[h.pair_u == u].tolist()
+    """Ids of the arcs that may follow arc u, read from row u of the pattern."""
+    ptr = h.pattern.indptr
+    return h.pattern.indices[ptr[u]:ptr[u + 1]].tolist()
 
 
 class TestBuild:
@@ -53,7 +54,7 @@ class TestBuild:
         h = build_hashimoto(chord)
         a = arc_pairs(chord).index((0, 2))
         assert successors(h, a) == []
-        assert a not in h.pair_v.tolist()
+        assert a not in h.pattern.indices.tolist()
 
     def test_no_successor_is_reverse(self):
         for seed in range(20):
@@ -73,7 +74,7 @@ class TestBuild:
                 g.out_degree(j) - (1 if (j, i) in arcs else 0)
                 for i, j in arcs
             )
-            assert len(h.pair_u) == expected
+            assert h.pattern.nnz == expected
 
     def test_matches_dense_rule(self):
         for seed in range(10):
@@ -91,12 +92,12 @@ class TestBuild:
         for seed in range(20):
             g = gen_erdos_renyi_digraph(9, 0.3, seed)
             h = build_hashimoto(g)
-            assert (np.diff(h.pair_u) >= 0).all()
-            same_u = h.pair_u[1:] == h.pair_u[:-1]
-            assert (np.diff(h.pair_v)[same_u] > 0).all()
+            ptr, cols = h.pattern.indptr, h.pattern.indices
+            rows = np.repeat(np.arange(h.n_arcs), np.diff(ptr))
+            assert (np.diff(cols)[rows[1:] == rows[:-1]] > 0).all()
             u, v = np.nonzero(dense_hashimoto(g))  # row-major: by u, then v
-            assert h.pair_u.tolist() == u.tolist()
-            assert h.pair_v.tolist() == v.tolist()
+            assert rows.tolist() == u.tolist()
+            assert cols.tolist() == v.tolist()
 
     @pytest.mark.parametrize("reversed_share", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("seed", range(4))
@@ -139,13 +140,14 @@ class TestBuild:
         assert g.symmetric_pair_count == len(symmetric_arc_pairs(g))
 
     def test_operator_is_made_from_its_graph_only(self, k4sym):
-        # No operator holds other pairs than all of its graph's transitions,
-        # so its strong labels may come from the graph's structure.
+        # No operator holds other transitions than all of its graph's, so
+        # its strong labels may come from the graph's structure.
         h, made = HashimotoOperator(k4sym), build_hashimoto(k4sym)
-        assert h.graph is k4sym and h.pair_u.dtype == h.pair_v.dtype == np.int64
-        assert np.array_equal(h.pair_u, made.pair_u) and np.array_equal(h.pair_v, made.pair_v)
+        assert h.graph is k4sym
+        assert np.array_equal(h.pattern.indptr, made.pattern.indptr)
+        assert np.array_equal(h.pattern.indices, made.pattern.indices)
         with pytest.raises(TypeError):
-            HashimotoOperator(k4sym, made.pair_u[::2], made.pair_v[::2])
+            HashimotoOperator(k4sym, made.pattern.indptr, made.pattern.indices[::2])
 
     def test_build_memory_is_bounded(self):
         # Loading a graph peaks in this build.  In units of one int32 array
@@ -202,7 +204,7 @@ class TestBuild:
     def test_transition_budget_is_inclusive(self, k4sym, monkeypatch):
         candidates = int(np.diff(k4sym.out_ptr)[k4sym.heads].sum())
         monkeypatch.setattr(hashimoto, "MAX_TRANSITIONS", candidates)
-        assert len(build_hashimoto(k4sym).pair_u) == 24
+        assert build_hashimoto(k4sym).pattern.nnz == 24
         monkeypatch.setattr(hashimoto, "MAX_TRANSITIONS", candidates - 1)
         with pytest.raises(CapExceededError):
             build_hashimoto(k4sym)

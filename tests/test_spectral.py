@@ -36,7 +36,9 @@ from nbperc.cli import build_analysis_document
 from nbperc.errors import NonConvergenceError, NotStronglyConnectedError
 from nbperc.spectral import DEFAULT_TOL, METHOD_INVERSE
 
-from conftest import arc_pairs, dense_adjacency, dense_hashimoto, dense_rho, grid_edge_text
+from conftest import (
+    arc_pairs, dense_adjacency, dense_hashimoto, dense_rho, grid_edge_text, operator_pairs,
+)
 
 
 class TestSpectralRadius:
@@ -136,9 +138,7 @@ class TestSpectralRadius:
             mat = csr_matrix((np.ones(len(g.tails)), (g.tails, g.heads)), shape=(g.n, g.n))
         else:
             op = build_hashimoto(g)
-            mat = csr_matrix(
-                (np.ones(len(op.pair_u)), (op.pair_u, op.pair_v)), shape=(op.n_arcs,) * 2
-            )
+            mat = op.pattern
         want = float(eigs(mat, k=1, which="LR", return_eigenvectors=False)[0].real)
         res = spectral_radius(op)
         assert res.method == "power-shifted"
@@ -289,18 +289,17 @@ class TestBitwiseProducts:
     @pytest.mark.parametrize("name", list(PRODUCT_GRAPHS))
     def test_apply_and_transpose(self, name):
         h = build_hashimoto(PRODUCT_GRAPHS[name])
-        x = _spread(np.random.default_rng(1), h.n_arcs)
-        k = h.n_arcs
-        assert np.array_equal(h.apply(x), np.bincount(h.pair_v, weights=x[h.pair_u], minlength=k))
-        assert np.array_equal(h.apply_transpose(x),
-                              np.bincount(h.pair_u, weights=x[h.pair_v], minlength=k))
+        k, u, v = operator_pairs(PRODUCT_GRAPHS[name], "H")
+        x = _spread(np.random.default_rng(1), k)
+        assert np.array_equal(h.apply(x), np.bincount(v, weights=x[u], minlength=k))
+        assert np.array_equal(h.apply_transpose(x), np.bincount(u, weights=x[v], minlength=k))
 
     @pytest.mark.parametrize("operator", ["A", "H"])
     @pytest.mark.parametrize("name", list(PRODUCT_GRAPHS))
     def test_every_perron_block(self, name, operator, monkeypatch):
         g = PRODUCT_GRAPHS[name]
         op = g if operator == "A" else build_hashimoto(g)
-        dim, src, dst = spectral._operator_pairs(op)
+        dim, src, dst = operator_pairs(g, operator)
         blocks = []
         perron = spectral._perron
 
@@ -348,24 +347,25 @@ class TestBlocks:
     @pytest.mark.parametrize("operator", ["A", "H"])
     @pytest.mark.parametrize("name", list(BLOCK_GRAPHS))
     def test_matches_a_mask_per_block(self, name, operator):
-        """Every block's COO holds the entries of one mask per block, in
-        the same order, so every product sums its terms as before."""
+        """Every block's COO holds the entries of one mask per block over
+        the operator's pairs, in pair order, so every product sums its
+        terms in that order."""
         g = BLOCK_GRAPHS[name]
         op = g if operator == "A" else build_hashimoto(g)
         ncomp, labels = op.strong_labels
         nontrivial = np.flatnonzero(np.bincount(labels, minlength=ncomp) > 1)
-        blocks = list(spectral._blocks(op, ncomp, labels, nontrivial))
+        blocks = list(spectral._blocks(spectral._forward(op), ncomp, labels, nontrivial))
         assert ncomp > 1 and len(blocks) == len(nontrivial) > 0
-        dim, src, dst = spectral._operator_pairs(op)
+        dim, src, dst = operator_pairs(g, operator)
         for b, comp in zip(blocks, nontrivial):
             mask = (labels[src] == comp) & (labels[dst] == comp)
             members = np.flatnonzero(labels == comp)
             local = np.full(dim, -1, dtype=np.int64)
             local[members] = np.arange(len(members))
-            want = spectral._pair_matrix(len(members), local[src[mask]], local[dst[mask]])
-            assert b.shape == want.shape
-            for got, expected in ((b.row, want.row), (b.col, want.col), (b.data, want.data)):
-                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert b.format == "coo" and b.shape == (len(members),) * 2
+            assert np.array_equal(b.row, local[dst[mask]])
+            assert np.array_equal(b.col, local[src[mask]])
+            assert np.array_equal(b.data, np.ones(mask.sum()))
 
 
 SINGLE_SOLVE_GRAPHS = {
@@ -426,7 +426,8 @@ class TestSingleSolve:
 
         monkeypatch.setattr(spectral, "_perron", counting)
         compute_spectral_report(g, h)
-        want = (_nontrivial_blocks(h.n_arcs, h.pair_u, h.pair_v)
+        transitions = h.pattern.tocoo()
+        want = (_nontrivial_blocks(h.n_arcs, transitions.row, transitions.col)
                 + _nontrivial_blocks(g.n, g.tails, g.heads))
         assert len(calls) == want
 
