@@ -11,7 +11,9 @@ import argparse
 import io
 import json
 import math
+import operator
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .graph import (
     serialize_edge_list,
 )
 from .hashimoto import build_hashimoto
-from .percolation import STAT_NAMES, PercolationConfig, _out_probs, sweep
+from .percolation import STAT_NAMES, PercolationConfig, _out_probs, _reach_counts, sweep
 from .spectral import compute_spectral_report
 
 EXIT_OK = 0
@@ -286,6 +288,38 @@ def _simulate_json(sr, estimates):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _theorem1_exact(at_least, p, norm_row):
+    """(max over the roots and m of m * P_m(p), as a Fraction, and
+    whether it is at most 1/(1 - p * norm_row)), both exact.
+
+    at_least[i][m - 1][k] counts root i's open sets of k open vertices
+    from which the root reaches at least m.  A float p is a / b with b a
+    power of two, so b^n P_m = sum_k at_least[i][m - 1][k] a^k (b - a)^(n - k)
+    is an integer, and the comparison is one of integers.  p * norm_row
+    must be below 1.
+    """
+    a, b = p.as_integer_ratio()
+    n = len(at_least[0][0]) - 1
+    weights = [a ** k * (b - a) ** (n - k) for k in range(n + 1)]
+    top = max(m * sum(map(operator.mul, col, weights))
+              for cols in at_least for m, col in enumerate(cols, 1))
+    return Fraction(top, b ** n), top * (b - a * norm_row) <= b ** (n + 1)
+
+
+def _theorem1_sampled(estimates, t1):
+    """(max over the estimates and m of m * P-hat_m, and whether each is
+    at most t1 plus 3 sigma)."""
+    worst = 0.0
+    ok = True
+    for est in estimates:
+        mp = est.m_values * est.p_hat
+        worst = max(worst, float(mp.max()))
+        slack = t1 + 3.0 * est.m_values * est.stderr - mp
+        if (slack < 0).any():
+            ok = False
+    return worst, ok
+
+
 def cmd_bounds_check(args):
     _check_at_least_1(args, "trials", "m_max")
     g = _load_graph(args.input, args.undirected)
@@ -293,9 +327,6 @@ def cmd_bounds_check(args):
     h = build_hashimoto(g)
     sr = compute_spectral_report(g, h)
     roots = _parse_roots(args.roots, g.n) if args.roots else tuple(range(min(3, g.n)))
-    census = None
-    if g.n <= VERTEX_CAP and g.n_arcs:  # n <= 16: at most 240 arcs, inside the trace cap
-        census = enumerate_elementary_circuits(g)
     out = io.StringIO()
     out.write(
         "p,theorem1_bound,max_m_phat,theorem1_verdict,"
@@ -307,24 +338,29 @@ def cmd_bounds_check(args):
             theorem1.append(out_component_probability_bound(p, sr.norm_row))
         except BoundDomainError:
             theorem1.append(None)
-    bounded = [p for p, t1 in zip(p_list, theorem1) if t1 is not None]
-    # Each root draws once for every p with a bound; the j-th entry of
-    # per_p holds the roots' estimates at bounded[j].
-    per_p = zip(*(_out_probs(g, v, bounded, args.m_max, args.trials, args.seed)
-                  for v in (roots if bounded else ())))
+    bounded = [(p, t1) for p, t1 in zip(p_list, theorem1) if t1 is not None]
+    tested = roots if bounded else ()
+    census = None
+    if g.n <= VERTEX_CAP:
+        if g.n_arcs:  # at most 240 arcs, inside the trace cap
+            census = enumerate_elementary_circuits(g)
+        # Exact: each root's open sets counted by size and reach once, and
+        # their at-least-m columns, m = 1..m_max, read at every p.
+        at_least = [np.cumsum(_reach_counts(g, v)[:, ::-1], axis=1)[:, ::-1]
+                    [:, 1:args.m_max + 1].T.tolist() for v in tested]
+        checks = (_theorem1_exact(at_least, p, sr.norm_row) for p, _ in bounded)
+    else:
+        # Each root draws once for every p with a bound; the j-th entry of
+        # per_p holds the roots' estimates at bounded[j].
+        per_p = zip(*(_out_probs(g, v, [p for p, _ in bounded], args.m_max, args.trials,
+                                 args.seed) for v in tested))
+        checks = (_theorem1_sampled(ests, t1) for ests, (_, t1) in zip(per_p, bounded))
     for p, t1 in zip(p_list, theorem1):
         max_mp = 0.0
         verdict = "void"  # no bound, or no root to test it on
         if t1 is not None and roots:
-            worst = 0.0
-            ok = True
-            for est in next(per_p):
-                mp = est.m_values * est.p_hat
-                worst = max(worst, float(mp.max()))
-                slack = t1 + 3.0 * est.m_values * est.stderr - mp
-                if (slack < 0).any():
-                    ok = False
-            max_mp = worst
+            worst, ok = next(checks)
+            max_mp = float(worst)
             verdict = "ok" if ok else "violation"
         sac_cells = ["", "", "", ""]
         if census is not None:
@@ -406,12 +442,15 @@ def _build_parser():
     ps.add_argument("-o", "--output", default=None)
     ps.set_defaults(func=cmd_simulate)
 
-    pb = sub.add_parser("bounds-check", help="bound vs Monte-Carlo verdict table")
+    pb = sub.add_parser("bounds-check", help="bound vs out-probability verdict table, exact "
+                        "on at most 16 vertices, Monte-Carlo above")
     pb.add_argument("input")
     pb.add_argument("--undirected", action="store_true")
     pb.add_argument("--p", required=True)
-    pb.add_argument("--trials", type=int, default=10000)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--trials", type=int, default=10000,
+                    help="Monte-Carlo trials per root, on more than 16 vertices")
+    pb.add_argument("--seed", type=int, default=0,
+                    help="Monte-Carlo seed, on more than 16 vertices")
     pb.add_argument("--roots", default="")
     pb.add_argument("--m-max", type=int, default=20)
     pb.add_argument("-o", "--output", default=None)

@@ -28,10 +28,14 @@ are the largest strong one.  The block size still counts every arc of
 the graph, which keeps a block's rows, and the sweep's peak memory, those
 of the strong pass.
 
-Out-component probabilities take one of two kernels, chosen from the
+Out-component probability estimates (simulate --roots, and bounds-check
+above VERTEX_CAP vertices) take one of two kernels, chosen from the
 graph's size and the number of rows to count: a reach table per root
 when the open sets that hold the root are no more than the rows (at most
-VERTEX_CAP vertices), and a capped bulk search otherwise.
+VERTEX_CAP vertices), and a capped bulk search otherwise.  bounds-check
+on at most VERTEX_CAP vertices samples nothing: _reach_counts counts the
+root's open sets by size and reach from the same table, which gives the
+probabilities exactly.
 """
 from __future__ import annotations
 
@@ -362,11 +366,14 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     """Monte-Carlo estimate of P(v open and >= m open vertices reachable
     from v), for m = 1..m_max, with binomial standard errors.
 
-    Each draw block of trials goes through one of two kernels.  A graph
-    of at most VERTEX_CAP vertices whose 2**(n-1) open sets that hold v
-    are no more than the rows to count (trials, times the p values of
-    _out_probs) reads each trial's reach from a table built once for v.
-    Other graphs take a capped search.  A trial's count is min(reach
+    simulate --roots reaches this through _out_probs, as does bounds-check
+    on graphs above VERTEX_CAP vertices; bounds-check on smaller graphs
+    counts the probabilities exactly with _reach_counts instead.  Each
+    draw block of trials goes through one of two kernels.  A graph of at
+    most VERTEX_CAP vertices whose 2**(n-1) open sets that hold v are no
+    more than the rows to count (trials, times the p values of _out_probs)
+    reads each trial's reach from a table built once for v.  Other graphs
+    take a capped search.  A trial's count is min(reach
     size, m_max), which leaves every P-hat exact.  A block holds at most
     BLOCK_ENTRIES draws, and a search round scans at most BLOCK_ENTRIES
     arcs, unless one trial alone needs more.
@@ -451,6 +458,25 @@ def _reach_table(g, v, rows):
         words = (k & below) | ((k & ~below) << 1) | (1 << v)
         table[words] = _closure_counts(tables, v, words)
     return table
+
+
+def _reach_counts(g, v):
+    """c[k, r]: the number of open sets of g (n <= VERTEX_CAP) that hold v
+    and k open vertices in all, from which v reaches exactly r open
+    vertices, as an (n + 1, n + 1) int64 array.
+
+    So P(v open and >= m open vertices reachable from v) is the sum of
+    c[k, r] p^k (1-p)^(n-k) over k and r >= m, exactly, for every p.  One
+    bincount of popcount(word) * (n + 1) + reach over v's reach table.
+    """
+    n = g.n
+    key = np.zeros(1 << n, dtype=np.uint16)  # popcount(word) * (n + 1), at most 272
+    for u in range(n):
+        key[1 << u:2 << u] = key[:1 << u] + (n + 1)
+    key += _reach_table(g, v, BLOCK_ENTRIES // n)
+    counts = np.bincount(key, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
+    counts[:, 0] = 0  # reach 0: the sets without v
+    return counts
 
 
 def _closure_tables(g):

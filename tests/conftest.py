@@ -6,10 +6,14 @@ oriented line graph through the rule on every pair of arcs, reachability
 through boolean closure, walk
 counts through explicit enumeration over arc sequences, out-component
 probabilities through one capped depth-first search per trial (and,
-on small graphs, exactly from every open set), sweep
+on small graphs, exactly from every open set, and on at most 10
+vertices by one breadth-first search per open set), sweep
 statistics through one strong-component solve per grid point, and robust
 strong connectivity through one strong-component solve per symmetric arc.
 """
+from collections import deque
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -202,6 +206,40 @@ def exact_out_prob(g, v, p, m_max):
     size = np.unpackbits(words.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
     weight = p ** size * (1.0 - p) ** (g.n - size)
     return np.array([weight[reach >= m].sum() for m in range(1, m_max + 1)])
+
+
+def brute_reach_counts(g, v):
+    """c[k][r], as percolation._reach_counts counts it, on at most 10
+    vertices: one breadth-first search over the open vertices per open set
+    that holds v, along the arc list."""
+    n = g.n
+    assert n <= 10
+    succ = [[] for _ in range(n)]
+    for t, h in arc_pairs(g):
+        succ[t].append(h)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for word in range(1 << n):
+        if not word >> v & 1:
+            continue
+        seen = {v}
+        queue = deque([v])
+        while queue:
+            for w in succ[queue.popleft()]:
+                if word >> w & 1 and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        counts[bin(word).count("1")][len(seen)] += 1
+    return counts
+
+
+def fraction_out_prob(counts, p, m):
+    """P(v open and >= m open vertices reachable from v) at the float p,
+    exactly, from the counts of brute_reach_counts: a Fraction sum of
+    p^k (1-p)^(n-k) over the open sets."""
+    p = Fraction(p)
+    n = len(counts) - 1
+    return sum(c * p ** k * (1 - p) ** (n - k)
+               for k, row in enumerate(counts) for r, c in enumerate(row) if r >= m)
 
 
 def per_point_sweep_stats(g, config):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +11,17 @@ import pytest
 
 from nbperc import cli, graph, spectral
 from nbperc.cli import build_analysis_document, main
-from nbperc.generators import gen_erdos_renyi_digraph, gen_random_regular_sym
+from nbperc.generators import (
+    gen_complete_sym,
+    gen_erdos_renyi_digraph,
+    gen_path_sym,
+    gen_random_regular_sym,
+    gen_star_sym,
+)
 from nbperc.graph import MAX_VERTICES, DiGraph, parse_edge_list
 from nbperc.hashimoto import build_hashimoto
 
-from conftest import grid_edge_text
+from conftest import brute_reach_counts, fraction_out_prob, grid_edge_text
 
 
 def run_cli(args, capsys):
@@ -345,9 +352,89 @@ class TestBoundsCheck:
         assert err == "nbperc: error: bad root list '1,x'\n"
 
 
+class TestExactTheorem1:
+    """bounds-check on at most VERTEX_CAP vertices: max_m m * P_m and its
+    Theorem-1 verdict, exactly, with no draws."""
+
+    @staticmethod
+    def at_least(counts):
+        # Column m - 1, m = 1..n: the open sets of k open vertices that
+        # reach at least m, per k.
+        return [[sum(row[m:]) for row in counts] for m in range(1, len(counts))]
+
+    @pytest.mark.parametrize("p", [0.1, 0.45, 0.9])
+    @pytest.mark.parametrize("name", ["c3", "p3sym", "k4sym", "star3sym", "chord"])
+    def test_polynomial_matches_fraction_sum(self, name, p, request):
+        g = request.getfixturevalue(name)
+        for v in range(g.n):
+            counts = brute_reach_counts(g, v)
+            for m, col in enumerate(self.at_least(counts), 1):
+                # One root and one column: the maximum is P_m itself.
+                worst, _ = cli._theorem1_exact([[col]], p, 0)
+                assert worst == fraction_out_prob(counts, p, m)
+
+    @pytest.mark.parametrize("g, v", [
+        pytest.param(gen_path_sym(3), 1, id="p3sym-centre"),
+        pytest.param(gen_complete_sym(4), 0, id="k4sym"),
+        # At the first float p above the bound, max_m m * P_m is
+        # 1 + 6.6e-18, which rounds to 1.0: a float comparison calls it ok.
+        pytest.param(gen_star_sym(4), 1, id="star4-leaf"),
+    ])
+    def test_verdict_flips_between_adjacent_floats(self, g, v):
+        # With a norm of 0 the bound is 1, which max_m m * P_m crosses as p
+        # goes from 0 to 1.  Bisect for the last float p at or below the
+        # bound: it is ok, and the next float is a violation.
+        counts = brute_reach_counts(g, v)
+        at_least = [self.at_least(counts)]
+
+        def worst(p):
+            return max(m * fraction_out_prob(counts, p, m) for m in range(1, g.n + 1))
+
+        lo, hi = 0.0, 1.0
+        while np.nextafter(lo, 1.0) < hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if worst(mid) <= 1 else (lo, mid)
+        assert cli._theorem1_exact(at_least, lo, 0) == (worst(lo), True)
+        assert cli._theorem1_exact(at_least, hi, 0) == (worst(hi), False)
+
+    def test_validate_graph(self, regular16_file, capsys):
+        code, out, _ = run_cli(["bounds-check", regular16_file, "--p", "0.1,0.3,0.45"], capsys)
+        assert code == 0
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        assert [round(float(row[2]), 6) for row in rows] == [0.100000, 0.396819, 1.083044]
+        assert [row[3] for row in rows] == ["ok"] * 3
+
+    def test_seed_and_trials_unused(self, regular16_file, capsys):
+        check = ["bounds-check", regular16_file, "--p", "0.1,0.2,0.3,0.4,0.45"]
+        one = run_cli([*check, "--seed", "1", "--trials", "1"], capsys)
+        assert one[0] == 0
+        assert run_cli([*check, "--seed", "2", "--trials", "100000"], capsys) == one
+
+    @pytest.mark.parametrize("m_max", [1, 2, 3, 20])
+    def test_max_over_roots_and_m(self, tmp_path, m_max, capsys):
+        # Every root of a 10-vertex digraph with norm_row = 3; max_m_phat
+        # is the exact maximum over m <= m_max, rounded once.
+        path = str(tmp_path / "er10.txt")
+        assert run_cli(["gen", "er", "10", "0.3", "--seed", "4", "-o", path], capsys)[0] == 0
+        g = parse_edge_list((tmp_path / "er10.txt").read_text())
+        counts = [brute_reach_counts(g, v) for v in range(g.n)]
+        ps = (0.1, 0.2, 0.3)
+        code, out, _ = run_cli(["bounds-check", path, "--p", ",".join(map(str, ps)),
+                                "--m-max", str(m_max),
+                                "--roots", ",".join(map(str, range(g.n)))], capsys)
+        assert code == 0
+        for p, row in zip(ps, out.splitlines()[1:]):
+            cells = row.split(",")
+            worst = max(m * fraction_out_prob(c, p, m) for c in counts for m in range(1, m_max + 1))
+            assert float(cells[2]) == float(worst)
+            assert worst <= 1 / (1 - Fraction(p) * 3)
+            assert cells[3] == "ok"
+
+
 class TestGoldenBytes:
-    """sha256 of Monte-Carlo outputs, pinned so that a refactor of the
-    search or of the draws cannot change a byte unnoticed."""
+    """sha256 of Monte-Carlo and exact outputs, pinned so that a refactor
+    of the search, of the draws or of the exact counts cannot change a
+    byte unnoticed."""
 
     @staticmethod
     def digest(tmp_path, gen_args, command, capsys):
@@ -358,12 +445,22 @@ class TestGoldenBytes:
         return hashlib.sha256(out.encode()).hexdigest()
 
     def test_bounds_check_digest(self, tmp_path, capsys):
-        # 30,000 trials on 16 vertices span two draw blocks.
+        # 16 vertices: exact out-probabilities, and the trials and seed
+        # unused.
         assert self.digest(
             tmp_path, ["regular", "16", "3", "--seed", "4"],
             ["bounds-check", "--p", "0.1,0.3,0.45", "--trials", "30000", "--seed", "2"],
             capsys,
-        ) == "76703c079d4bdd99aff2fcc27334e03abad1b7a6fffeaccd7ce63bfaf5e6f41e"
+        ) == "a691cc7add721385e2abd8c32eec63ee1237e3e43c2cbd22070db71a4c6bb193"
+
+    def test_bounds_check_monte_carlo_digest(self, tmp_path, capsys):
+        # 20 vertices are above VERTEX_CAP: the out-probabilities are
+        # sampled, by the capped search.
+        assert self.digest(
+            tmp_path, ["regular", "20", "3", "--seed", "4"],
+            ["bounds-check", "--p", "0.1,0.3,0.45", "--trials", "30000", "--seed", "2"],
+            capsys,
+        ) == "0c4f0a2ff8abcab30f08c50c98b2e02263e75d374730bce279932ac05343d382"
 
     SIMULATE = ("simulate", "--p-min", "0.3", "--p-max", "0.7", "--steps", "3",
                 "--trials", "20", "--roots", "0,1", "--m-max", "20", "--format", "json")

@@ -425,6 +425,27 @@ class TestOutProb:
         assert peak < 32 * 2**20
 
 
+class TestReachCounts:
+    GRAPHS = {
+        "er8": gen_erdos_renyi_digraph(8, 0.3, 1),
+        "er9": gen_erdos_renyi_digraph(9, 0.25, 2),
+        "er10": gen_erdos_renyi_digraph(10, 0.2, 3),
+    }
+
+    @pytest.mark.parametrize("name", ["c3", "p3sym", "k4sym", "star3sym", "chord",
+                                      "er8", "er9", "er10"])
+    def test_matches_one_search_per_open_set(self, name, request):
+        from conftest import brute_reach_counts
+
+        g = self.GRAPHS[name] if name in self.GRAPHS else request.getfixturevalue(name)
+        for v in range(g.n):
+            counts = percolation._reach_counts(g, v)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == brute_reach_counts(g, v)
+            # Every open set that holds v, counted once.
+            assert counts.sum() == 2 ** (g.n - 1)
+
+
 class TestReachTable:
     @pytest.mark.parametrize("g", [
         *[pytest.param(gen_erdos_renyi_digraph(8, 0.25, s), id=f"er8-{s}") for s in range(3)],
