@@ -29,12 +29,10 @@ the graph, which keeps a block's rows, and the sweep's peak memory, those
 of the strong pass.
 
 Out-component probability estimates (simulate --roots, and bounds-check
-above VERTEX_CAP vertices) take one of two kernels, chosen from the
-graph's size and the number of rows to count: a reach table per root
-when the open sets that hold the root are no more than the rows (at most
-VERTEX_CAP vertices), and a capped bulk search otherwise.  bounds-check
-on at most VERTEX_CAP vertices samples nothing: _reach_counts counts the
-root's open sets by size and reach from the same table, which gives the
+above 16 vertices) count each trial's reach by one capped search that
+advances a block of trials together.  bounds-check on at most 16
+vertices samples nothing: _reach_counts counts the root's open sets by
+size and reach from a reach table built once per root, which gives the
 probabilities exactly.
 """
 from __future__ import annotations
@@ -46,14 +44,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _cc
 
-from .cycles import VERTEX_CAP
 from .errors import NoCrossingError
 from .graph import _csr_pattern, _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Entries per block: uniforms drawn by _out_probs, or the vertices and
-# arcs of the rows of one _nested_stats pass: the trials of a coupled
+# Entries per block: the uniforms of one _out_probs draw, the open sets
+# times vertices of one round of _reach_counts' table, or the vertices
+# and arcs of the rows of one _nested_stats pass: the trials of a coupled
 # block or the grid points of an independent one.  Bounds their memory at
 # a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
@@ -367,16 +365,12 @@ def estimate_out_prob(g, v, p, m_max, trials, seed):
     from v), for m = 1..m_max, with binomial standard errors.
 
     simulate --roots reaches this through _out_probs, as does bounds-check
-    on graphs above VERTEX_CAP vertices; bounds-check on smaller graphs
-    counts the probabilities exactly with _reach_counts instead.  Each
-    draw block of trials goes through one of two kernels.  A graph of at
-    most VERTEX_CAP vertices whose 2**(n-1) open sets that hold v are no
-    more than the rows to count (trials, times the p values of _out_probs)
-    reads each trial's reach from a table built once for v.  Other graphs
-    take a capped search.  A trial's count is min(reach
-    size, m_max), which leaves every P-hat exact.  A block holds at most
-    BLOCK_ENTRIES draws, and a search round scans at most BLOCK_ENTRIES
-    arcs, unless one trial alone needs more.
+    on graphs above 16 vertices; bounds-check on smaller graphs counts
+    the probabilities exactly with _reach_counts instead.  Each draw block
+    of trials goes through one capped search, _search_counts.  A trial's
+    count is min(reach size, m_max), which leaves every P-hat exact.  A
+    block holds at most BLOCK_ENTRIES draws, and a search round scans at
+    most BLOCK_ENTRIES arcs, unless one trial alone needs more.
     """
     return _out_probs(g, v, (p,), m_max, trials, seed)[0]
 
@@ -401,17 +395,12 @@ def _out_probs(g, v, ps, m_max, trials, seed):
     heads, ptr = g.heads[g.out_order], g.out_ptr
     size_hist = np.zeros((len(ps), m_max + 1), dtype=np.int64)  # index: p, capped reach size
     # A search round scans the arcs of at most m_max - 1 distinct vertices
-    # per trial.  The table is built in blocks of the same rows.
+    # per trial.
     widest = min(g.n_arcs, (m_max - 1) * int(np.diff(ptr).max(initial=0)))
     # Generator.random fills row by row, so the block size leaves the
     # draws, and every P-hat, unchanged.
     rows = max(1, BLOCK_ENTRIES // max(n, widest, 1))
-    table = None
-    if n <= VERTEX_CAP and 2 ** (n - 1) <= trials * len(ps):
-        # Enumerating the open sets costs no more rows than the trials.
-        table = np.minimum(_reach_table(g, v, rows), min(m_max, n))
-    else:
-        stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
+    stamp = np.empty(rows * n, dtype=np.int64)  # deduplicates one round's keys
     remaining = trials
     while remaining > 0:
         batch = min(rows, remaining)
@@ -420,14 +409,11 @@ def _out_probs(g, v, ps, m_max, trials, seed):
         for i, (hist, p) in enumerate(zip(size_hist, ps)):
             opens = draws < p
             if i == len(ps) - 1:
-                # The last kernel runs with the draws freed: one-p calls
+                # The last search runs with the draws freed: one-p calls
                 # run about a tenth faster than with them held.
                 del draws
-            if table is not None:
-                count = table.take(_open_words(opens))
-            else:
-                count = _search_counts(ptr, heads, v, m_max, opens, stamp)
-            hist += np.bincount(count, minlength=m_max + 1)
+            hist += np.bincount(_search_counts(ptr, heads, v, m_max, opens, stamp),
+                                minlength=m_max + 1)
     # P-hat_m = fraction of trials with capped size >= m.
     at_least = np.cumsum(size_hist[:, ::-1], axis=1)[:, ::-1]
     m_values = np.arange(1, m_max + 1)
@@ -442,7 +428,7 @@ def _out_probs(g, v, ps, m_max, trials, seed):
 
 def _reach_table(g, v, rows):
     """The number of open vertices reachable from v in every open set of
-    g (n <= VERTEX_CAP), as a uint8 array indexed by the set's word, bit
+    g (n <= 16), as a uint8 array indexed by the set's word, bit
     u for vertex u; 0 where v is closed.
 
     The 2**(n-1) sets that hold v go through the closure rows at a time,
@@ -461,7 +447,7 @@ def _reach_table(g, v, rows):
 
 
 def _reach_counts(g, v):
-    """c[k, r]: the number of open sets of g (n <= VERTEX_CAP) that hold v
+    """c[k, r]: the number of open sets of g (n <= 16) that hold v
     and k open vertices in all, from which v reaches exactly r open
     vertices, as an (n + 1, n + 1) int64 array.
 
@@ -490,18 +476,6 @@ def _closure_tables(g):
     for i in range(8):  # the entries whose highest set bit is bit i
         tables[:, 1 << i:2 << i] = tables[:, :1 << i] | per_byte[:, i:i + 1]
     return tables
-
-
-def _open_words(opens):
-    """Each row of the boolean opens, at most VERTEX_CAP columns wide, as
-    one int64: bit u for vertex u."""
-    rows, n = opens.shape
-    width = 1 << (-(-n // 8) - 1).bit_length()  # bytes per row: 1 or 2
-    if n < 8 * width:
-        padded = np.zeros((rows, 8 * width), dtype=bool)
-        padded[:, :n] = opens
-        opens = padded
-    return np.packbits(opens, bitorder="little").view(f"<u{width}").astype(np.int64)
 
 
 def _closure_counts(tables, v, words):

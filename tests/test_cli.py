@@ -476,6 +476,17 @@ class TestGoldenBytes:
             capsys,
         ) == "a07325cba20cac599b621c65bec178551b323bfa272ab9111be8a2148d6df7a5"
 
+    def test_simulate_roots_small_digest(self, tmp_path, capsys):
+        # 16 vertices, 20,000 trials x 3 p: 60,000 rows per root, more
+        # than the 2**15 open sets that hold it, all through the search.
+        assert self.digest(
+            tmp_path, ["regular", "16", "3", "--seed", "4"],
+            ["simulate", "--p-min", "0.1", "--p-max", "0.45", "--steps", "3",
+             "--trials", "20000", "--roots", "0,1,2", "--m-max", "20", "--seed", "3",
+             "--format", "json"],
+            capsys,
+        ) == "5f214ff5f5d87efcfc7714f688035a5303277e91229cbf584f65812628ea7e45"
+
     def test_analyze_reducible_digest(self, tmp_path, capsys):
         # A directed input whose H has four nontrivial strong blocks (44,
         # 15, 13 and 3 arcs), so rho_H is solved block by block from H's

@@ -180,36 +180,20 @@ class TestMeasure:
             assert st.largest_in == int(reach.sum(axis=0).max())
 
 
-def out_prob_kernel(n, rows):
-    """The kernel that _out_probs selects for n vertices and rows = trials
-    times the number of p values."""
-    return "_reach_table" if n <= VERTEX_CAP and 2 ** (n - 1) <= rows else "_search_counts"
+def search_only(monkeypatch):
+    """Make the reach table fail the test if it is built, and return the
+    list that records the runs of _search_counts: one per draw block and
+    p.  The table belongs to the exact counts; the sampler never builds
+    it, whatever the graph's size and the number of rows."""
+    search, calls = percolation._search_counts, []
 
+    def run(*args):
+        calls.append(None)
+        return search(*args)
 
-def only_kernel(monkeypatch, kernel):
-    """Make every out-probability kernel but kernel fail the test, and
-    return the list that records its runs: one per table built, or one per
-    search of a draw block at one p.  The table's build runs
-    _closure_counts, which may run nowhere else."""
-    real = {name: getattr(percolation, name)
-            for name in ("_reach_table", "_closure_counts", "_search_counts")}
-    calls, building = [], []
-
-    def wrap(name):
-        def run(*args):
-            if name != kernel and not (name == "_closure_counts" and any(building)):
-                pytest.fail(f"{name} ran where {kernel} should")
-            if not building:
-                calls.append(name)
-            building.append(name == "_reach_table")
-            try:
-                return real[name](*args)
-            finally:
-                building.pop()
-        return run
-
-    for name in real:
-        monkeypatch.setattr(percolation, name, wrap(name))
+    monkeypatch.setattr(percolation, "_reach_table",
+                        lambda *args: pytest.fail("_reach_table ran in _out_probs"))
+    monkeypatch.setattr(percolation, "_search_counts", run)
     return calls
 
 
@@ -286,10 +270,10 @@ class TestOutProb:
     def test_matches_capped_dfs(self, g, v, monkeypatch):
         # Bitwise against one capped depth-first search per trial, with the
         # trials in one block, one row per block, and a few rows per block,
-        # through the kernel that the graph's size selects.
+        # all through the search.
         from conftest import capped_dfs_out_prob
 
-        calls = only_kernel(monkeypatch, out_prob_kernel(g.n, 200))
+        calls = search_only(monkeypatch)
         for block in (percolation.BLOCK_ENTRIES, 1, 77, 1000):
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             for m_max in (1, 2, 20, g.n + 1):
@@ -301,8 +285,9 @@ class TestOutProb:
         assert calls
 
     @pytest.mark.parametrize("g, trials", [
-        # Both sides of the table's rule, 2**(n-1) <= trials, with a byte
-        # boundary between 8 and 9 vertices, and past VERTEX_CAP.
+        # Both sides of 2**(n-1) <= trials, where the open sets that hold
+        # the root are no more than the rows, with a byte boundary between
+        # 8 and 9 vertices, and past VERTEX_CAP.
         pytest.param(DiGraph(1, []), 1, id="n1-at"),
         pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), 127, id="n8-under"),
         pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), 128, id="n8-at"),
@@ -313,21 +298,18 @@ class TestOutProb:
         pytest.param(gen_erdos_renyi_digraph(17, 0.2, 1), 2**16, id="n17"),
     ])
     def test_kernel_rule_matches_capped_dfs(self, g, trials, monkeypatch):
-        # Bitwise against one capped depth-first search per trial, on each
-        # side of the rule that picks the reach table.
+        # Bitwise against one capped depth-first search per trial, through
+        # the search on each side of that boundary.
         from conftest import capped_dfs_out_prob
 
-        kernel = out_prob_kernel(g.n, trials)
-        calls = only_kernel(monkeypatch, kernel)
+        calls = search_only(monkeypatch)
         for m_max in (2, g.n + 1):
             for p in (0.35, 0.8):
                 est = estimate_out_prob(g, 0, p, m_max, trials, 9)
                 p_hat, stderr = capped_dfs_out_prob(g, 0, p, m_max, trials, 9)
                 assert est.p_hat.tobytes() == p_hat.tobytes()
                 assert est.stderr.tobytes() == stderr.tobytes()
-        assert calls[0] == kernel
-        if kernel == "_reach_table":
-            assert len(calls) == 4  # one table per call
+        assert len(calls) >= 4  # at least one search per call
 
     @pytest.mark.parametrize("g", [
         pytest.param(gen_erdos_renyi_digraph(8, 0.3, 2), id="er8"),
@@ -339,30 +321,20 @@ class TestOutProb:
     ])
     def test_p_list_matches_one_call_per_p(self, g, monkeypatch):
         # One draw per block for the whole p list, unsorted with repeats
-        # and both ends, is bitwise the same as one call per p, whichever
-        # kernel the graph's size and the row count select and however many
-        # blocks the trials span; and the same as one capped depth-first
-        # search per trial.  The 2,400 rows of the list take the table up
-        # to 12 vertices, where one p (400 rows) takes the search.
+        # and both ends, is bitwise the same as one call per p, however
+        # many blocks the trials span; and the same as one capped
+        # depth-first search per trial.  The 2,400 rows of the list are
+        # more than the open sets that hold the root up to 12 vertices.
         from conftest import capped_dfs_out_prob
 
         ps = (0.6, 0.0, 0.35, 1.0, 0.35, 0.15)
         oracle = {p: capped_dfs_out_prob(g, 0, p, 12, 400, 7) for p in ps}
-        kernel = out_prob_kernel(g.n, 400 * len(ps))
-        words, lookups = percolation._open_words, []
-        monkeypatch.setattr(percolation, "_open_words",
-                            lambda opens: lookups.append(None) or words(opens))
         for block, blocks in ((percolation.BLOCK_ENTRIES, 1), (1, 400), (2000, 2)):
             monkeypatch.setattr(percolation, "BLOCK_ENTRIES", block)
             with pytest.MonkeyPatch.context() as mp:
-                calls = only_kernel(mp, kernel)
-                lookups.clear()
+                calls = search_only(mp)
                 together = percolation._out_probs(g, 0, ps, 12, 400, 7)
-            if kernel == "_reach_table":
-                assert calls == [kernel]  # one table for every block and p
-                assert len(lookups) >= blocks * len(ps)
-            else:
-                assert len(calls) >= blocks * len(ps)  # one kernel run per block and p
+            assert len(calls) >= blocks * len(ps)  # one search per block and p
             assert len(together) == len(ps)
             for p, est in zip(ps, together):
                 alone = estimate_out_prob(g, 0, p, 12, 400, 7)
@@ -374,8 +346,8 @@ class TestOutProb:
 
     @pytest.mark.parametrize("n, v", [(16, 16), (16, -1), (200, 200), (200, -1)])
     def test_root_is_checked(self, n, v):
-        # 2**15 trials on 16 vertices take the reach table; 200 vertices
-        # take the search.
+        # The root is checked before any draw, on 16 vertices at 2**15
+        # trials as on 200.
         g = gen_random_regular_sym(n, 3, 1)
         with pytest.raises(ValueError, match=rf"root {v} outside 0\.\.{n - 1}"):
             estimate_out_prob(g, v, 0.5, 5, 2 ** 15, 0)
@@ -401,16 +373,20 @@ class TestOutProb:
         assert peak < 32 * 2**20
 
     def test_table_memory_is_bounded(self):
-        # The largest graph the table takes, with every vertex reaching
-        # every other: 2**15 sets, built a draw block's rows at a time.
+        # The largest graph of the exact counts, with every vertex reaching
+        # every other: sampled at 10**5 trials by the search, and counted
+        # from the table's 2**15 sets, built BLOCK_ENTRIES // n at a time.
         g = gen_complete_sym(VERTEX_CAP)
-        tracemalloc.start()
-        try:
-            percolation._out_probs(g, 0, (0.1, 0.2, 0.3, 0.4, 0.45), 20, 100000, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        for count in (lambda: percolation._out_probs(g, 0, (0.1, 0.2, 0.3, 0.4, 0.45),
+                                                     20, 100000, 1),
+                      lambda: percolation._reach_counts(g, 0)):
+            tracemalloc.start()
+            try:
+                count()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
 
     def test_draw_memory_is_bounded(self):
         # 20,000 trials on 2,000 vertices would be 320 MB of uniforms in

@@ -5,7 +5,8 @@ import pytest
 
 import nbperc
 
-MODULES = sorted(p for p in Path(nbperc.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(nbperc.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -30,3 +31,43 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources):
+    """(module, name) of the top-level private functions, classes and
+    constants, dunders aside, that no module of sources reads: by name,
+    as an attribute, or in an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted((module, name) for module, name in defined if name not in read)
+
+
+def test_the_scan_finds_an_unused_private_name():
+    sources = {
+        "a": "_A = 1\n_B: int = 2\n__all__ = []\ndef _f(): pass\nclass _C: pass\n"
+             "def g(): return _B\n",
+        "b": "from a import _f\nimport a\na._C\n",
+    }
+    assert unused_private_names(sources) == [("a", "_A")]
+
+
+def test_no_unused_private_names():
+    assert unused_private_names({p.name: p.read_text() for p in SOURCES}) == []
