@@ -31,9 +31,9 @@ of the strong pass.
 Out-component probability estimates (simulate --roots, and bounds-check
 above 16 vertices) count each trial's reach by one capped search that
 advances a block of trials together.  bounds-check on at most 16
-vertices samples nothing: _reach_counts counts the root's open sets by
-size and reach from a reach table built once per root, which gives the
-probabilities exactly.
+vertices samples nothing: _reach_counts grows the reach of each of the
+root's open sets, held as 16-bit words, and counts the sets by size and
+reach, which gives the probabilities exactly.
 """
 from __future__ import annotations
 
@@ -49,15 +49,14 @@ from .graph import _csr_pattern, _offsets
 
 STAT_NAMES = ("largest_scc", "second_scc", "largest_out", "largest_in", "giant_count")
 
-# Entries per block: the uniforms of one _out_probs draw, the open sets
-# times vertices of one round of _reach_counts' table, or the vertices
+# Entries per block: the uniforms of one _out_probs draw, or the vertices
 # and arcs of the rows of one _nested_stats pass: the trials of a coupled
 # block or the grid points of an independent one.  Bounds their memory at
 # a few MB whatever the grid, trial count and graph.
 BLOCK_ENTRIES = 1 << 18
 # The number of set bits of each byte value.
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.int64)
+    axis=1, dtype=np.uint16)
 
 
 @dataclass(frozen=True)
@@ -426,76 +425,47 @@ def _out_probs(g, v, ps, m_max, trials, seed):
     return estimates
 
 
-def _reach_table(g, v, rows):
-    """The number of open vertices reachable from v in every open set of
-    g (n <= 16), as a uint8 array indexed by the set's word, bit
-    u for vertex u; 0 where v is closed.
-
-    The 2**(n-1) sets that hold v go through the closure rows at a time,
-    each built as a word directly: bit v inserted into a counter.
-    """
-    n = g.n
-    tables = _closure_tables(g)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    below = (1 << v) - 1  # the counter's bits that stay below bit v
-    sets = 1 << (n - 1)
-    for start in range(0, sets, rows):
-        k = np.arange(start, min(start + rows, sets), dtype=np.int64)
-        words = (k & below) | ((k & ~below) << 1) | (1 << v)
-        table[words] = _closure_counts(tables, v, words)
-    return table
-
-
 def _reach_counts(g, v):
     """c[k, r]: the number of open sets of g (n <= 16) that hold v
     and k open vertices in all, from which v reaches exactly r open
     vertices, as an (n + 1, n + 1) int64 array.
 
     So P(v open and >= m open vertices reachable from v) is the sum of
-    c[k, r] p^k (1-p)^(n-k) over k and r >= m, exactly, for every p.  One
-    bincount of popcount(word) * (n + 1) + reach over v's reach table.
+    c[k, r] p^k (1-p)^(n-k) over k and r >= m, exactly, for every p.  The
+    2**(n-1) sets that hold v are uint16 words, bit u for vertex u, each
+    a counter with bit v inserted.  Each round ORs into every set's reach
+    the out-masks of its reached vertices, one table lookup per byte, and
+    keeps the open bits, until no reach grows.
     """
     n = g.n
-    key = np.zeros(1 << n, dtype=np.uint16)  # popcount(word) * (n + 1), at most 272
-    for u in range(n):
-        key[1 << u:2 << u] = key[:1 << u] + (n + 1)
-    key += _reach_table(g, v, BLOCK_ENTRIES // n)
-    counts = np.bincount(key, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
-    counts[:, 0] = 0  # reach 0: the sets without v
-    return counts
-
-
-def _closure_tables(g):
-    """The byte tables of _closure_counts: entry [k, b] is the OR of the
-    out-masks (bit h for each out-neighbour h) of the vertices 8k + i with
-    bit i set in b."""
-    out_mask = np.zeros(-(-g.n // 8) * 8, dtype=np.int64)
-    np.bitwise_or.at(out_mask, g.tails, np.left_shift(1, g.heads))
-    per_byte = out_mask.reshape(-1, 8)
-    tables = np.zeros((len(per_byte), 256), dtype=np.int64)
+    if n > 16:
+        raise ValueError(f"exact reach counts need n <= 16, got {n}")
+    one = np.uint16(1)
+    out_mask = np.zeros(16, dtype=np.uint16)  # bit h for each out-neighbour h
+    np.bitwise_or.at(out_mask, g.tails, np.left_shift(one, g.heads.astype(np.uint16)))
+    # tables[k, b]: the OR of the out-masks of the vertices 8k + i with
+    # bit i set in b.
+    per_byte = out_mask.reshape(2, 8)
+    tables = np.zeros((2, 256), dtype=np.uint16)
     for i in range(8):  # the entries whose highest set bit is bit i
         tables[:, 1 << i:2 << i] = tables[:, :1 << i] | per_byte[:, i:i + 1]
-    return tables
-
-
-def _closure_counts(tables, v, words):
-    """Per open set, one int64 word each (bit u for vertex u) that holds
-    v, the number of open vertices reachable from v.
-
-    Each round ORs into the reach of each set the out-masks of all its
-    reached vertices, one table lookup per byte, and keeps the open bits,
-    until no reach grows.
-    """
-    reach = np.full(len(words), 1 << v, dtype=np.int64)
+    low, high = tables
+    byte, eight = np.uint16(255), np.uint16(8)
+    bit = np.left_shift(one, np.uint16(v))
+    below = bit - one  # the counter's bits that stay below bit v
+    k = np.arange(1 << (n - 1), dtype=np.uint16)
+    words = (k & below) | ((k & ~below) << one) | bit
+    reach = np.full(words.size, bit)
     while True:
-        octets = reach.astype("<i8", copy=False).view(np.uint8)  # byte k: bits 8k..8k+7
-        grown = reach.copy()
-        for k in range(len(tables)):
-            grown |= tables[k].take(octets[k::8])
+        grown = reach | low.take(reach & byte) | high.take(reach >> eight)
         grown &= words
         if np.array_equal(grown, reach):
-            return sum(_BYTE_BITS.take(octets[k::8]) for k in range(len(tables)))
+            break
         reach = grown
+    both = np.stack([words, reach])
+    size, reached = _BYTE_BITS.take(both & byte) + _BYTE_BITS.take(both >> eight)
+    key = size * np.uint16(n + 1) + reached  # at most 16 * 17 + 16
+    return np.bincount(key, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
 def _search_counts(ptr, heads, v, m_max, opens, stamp):

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from nbperc import DiGraph, gen_complete_sym, gen_cycle, gen_path_sym, gen_star_sym
 from nbperc.graph import _scc_labels, _symmetric_arcs, is_strongly_connected
-from nbperc.percolation import STAT_NAMES, _reach_table, sample_open_set, trial_rng
+from nbperc.percolation import STAT_NAMES, _reach_counts, sample_open_set, trial_rng
 
 
 @pytest.fixture
@@ -197,15 +197,11 @@ def capped_dfs_out_prob(g, v, p, m_max, trials, seed):
 
 def exact_out_prob(g, v, p, m_max):
     """The P_m that estimate_out_prob estimates, m = 1..m_max, exactly on
-    a graph of at most VERTEX_CAP vertices: the sum of p^|w| (1-p)^(n-|w|)
-    over the open sets w that hold v and reach at least m vertices, read
-    from the reach table."""
-    table = _reach_table(g, v, 1 << g.n)
-    words = np.flatnonzero(table)  # the sets that hold v: each reaches v
-    reach = table[words]
-    size = np.unpackbits(words.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-    weight = p ** size * (1.0 - p) ** (g.n - size)
-    return np.array([weight[reach >= m].sum() for m in range(1, m_max + 1)])
+    a graph of at most VERTEX_CAP vertices: the sum of c[k, r] p^k
+    (1-p)^(n-k) over k and r >= m, with c from _reach_counts."""
+    k = np.arange(g.n + 1)
+    per_reach = (p ** k * (1.0 - p) ** (g.n - k)) @ _reach_counts(g, v)  # index: r
+    return np.array([per_reach[m:].sum() for m in range(1, m_max + 1)])
 
 
 def brute_reach_counts(g, v):

@@ -453,6 +453,17 @@ class TestGoldenBytes:
             capsys,
         ) == "a691cc7add721385e2abd8c32eec63ee1237e3e43c2cbd22070db71a4c6bb193"
 
+    def test_bounds_check_directed_digest(self, tmp_path, capsys):
+        # A non-symmetric 16-vertex input, every vertex a root: exact
+        # out-probabilities whose maximum comes from m >= 2 at the last
+        # three p (max_m_phat 0.2, 0.306, 0.56064, 0.739479375).
+        assert self.digest(
+            tmp_path, ["er", "16", "0.12", "--seed", "6"],
+            ["bounds-check", "--p", "0.2,0.3,0.4,0.45",
+             "--roots", ",".join(map(str, range(16)))],
+            capsys,
+        ) == "637476bf56ec437b6ae617388532dcf9e6d6d3b8aa94dc75d9cd3b73d180bb68"
+
     def test_bounds_check_monte_carlo_digest(self, tmp_path, capsys):
         # 20 vertices are above VERTEX_CAP: the out-probabilities are
         # sampled, by the capped search.

@@ -181,18 +181,18 @@ class TestMeasure:
 
 
 def search_only(monkeypatch):
-    """Make the reach table fail the test if it is built, and return the
+    """Make the exact counts fail the test if they run, and return the
     list that records the runs of _search_counts: one per draw block and
-    p.  The table belongs to the exact counts; the sampler never builds
-    it, whatever the graph's size and the number of rows."""
+    p.  The sampler never counts exactly, whatever the graph's size and
+    the number of rows."""
     search, calls = percolation._search_counts, []
 
     def run(*args):
         calls.append(None)
         return search(*args)
 
-    monkeypatch.setattr(percolation, "_reach_table",
-                        lambda *args: pytest.fail("_reach_table ran in _out_probs"))
+    monkeypatch.setattr(percolation, "_reach_counts",
+                        lambda *args: pytest.fail("_reach_counts ran in _out_probs"))
     monkeypatch.setattr(percolation, "_search_counts", run)
     return calls
 
@@ -375,7 +375,7 @@ class TestOutProb:
     def test_table_memory_is_bounded(self):
         # The largest graph of the exact counts, with every vertex reaching
         # every other: sampled at 10**5 trials by the search, and counted
-        # from the table's 2**15 sets, built BLOCK_ENTRIES // n at a time.
+        # from the 2**15 uint16 words of the sets that hold the root.
         g = gen_complete_sym(VERTEX_CAP)
         for count in (lambda: percolation._out_probs(g, 0, (0.1, 0.2, 0.3, 0.4, 0.45),
                                                      20, 100000, 1),
@@ -402,18 +402,25 @@ class TestOutProb:
 
 
 class TestReachCounts:
-    GRAPHS = {
-        "er8": gen_erdos_renyi_digraph(8, 0.3, 1),
-        "er9": gen_erdos_renyi_digraph(9, 0.25, 2),
-        "er10": gen_erdos_renyi_digraph(10, 0.2, 3),
-    }
-
-    @pytest.mark.parametrize("name", ["c3", "p3sym", "k4sym", "star3sym", "chord",
-                                      "er8", "er9", "er10"])
-    def test_matches_one_search_per_open_set(self, name, request):
+    @pytest.mark.parametrize("g", [
+        *[pytest.param(gen_erdos_renyi_digraph(8, 0.25, s), id=f"er8-{s}") for s in range(3)],
+        pytest.param(gen_erdos_renyi_digraph(8, 0.3, 1), id="er8"),
+        pytest.param(gen_erdos_renyi_digraph(9, 0.25, 2), id="er9"),
+        pytest.param(gen_erdos_renyi_digraph(10, 0.2, 3), id="er10"),
+        pytest.param(gen_erdos_renyi_digraph(7, 0.4, 5), id="er7"),
+        pytest.param(DiGraph(8, [(u, 0) for u in range(1, 8)]), id="in-star8"),
+        pytest.param(DiGraph(8, [(u, u + 1) for u in range(7)]), id="path8"),
+        pytest.param(gen_path_sym(6), id="path6-sym"),
+        pytest.param(DiGraph(1, []), id="one-vertex"),
+        pytest.param(DiGraph(2, [(0, 1)]), id="two-vertices"),
+        *[pytest.param(name, id=name) for name in ("c3", "p3sym", "k4sym", "star3sym",
+                                                    "chord")],
+    ])
+    def test_matches_one_search_per_open_set(self, g, request):
         from conftest import brute_reach_counts
 
-        g = self.GRAPHS[name] if name in self.GRAPHS else request.getfixturevalue(name)
+        if isinstance(g, str):
+            g = request.getfixturevalue(g)
         for v in range(g.n):
             counts = percolation._reach_counts(g, v)
             assert counts.dtype == np.int64
@@ -421,35 +428,9 @@ class TestReachCounts:
             # Every open set that holds v, counted once.
             assert counts.sum() == 2 ** (g.n - 1)
 
-
-class TestReachTable:
-    @pytest.mark.parametrize("g", [
-        *[pytest.param(gen_erdos_renyi_digraph(8, 0.25, s), id=f"er8-{s}") for s in range(3)],
-        pytest.param(gen_erdos_renyi_digraph(7, 0.4, 5), id="er7"),
-        pytest.param(DiGraph(8, [(u, 0) for u in range(1, 8)]), id="in-star8"),
-        pytest.param(DiGraph(8, [(u, u + 1) for u in range(7)]), id="path8"),
-        pytest.param(gen_path_sym(6), id="path6-sym"),
-        pytest.param(DiGraph(1, []), id="one-vertex"),
-        pytest.param(DiGraph(2, [(0, 1)]), id="two-vertices"),
-    ])
-    def test_matches_reachability_closure(self, g):
-        # Every open set of every root, against boolean closure on the
-        # open-open arcs; built one set per block, a few per block, and in
-        # one block.
-        from conftest import reachability_closure
-
-        bits = (np.arange(1 << g.n)[:, None] >> np.arange(g.n)) & 1
-        for v in range(g.n):
-            expected = np.zeros(1 << g.n, dtype=np.int64)
-            for w, row in enumerate(bits.astype(bool)):
-                if row[v]:
-                    keep = row[g.tails] & row[g.heads]
-                    sub = DiGraph.from_arrays(g.n, g.tails[keep], g.heads[keep])
-                    expected[w] = reachability_closure(sub)[v].sum()
-            for rows in (1, 7, 1 << g.n):
-                table = percolation._reach_table(g, v, rows)
-                assert table.dtype == np.uint8
-                assert table.tolist() == expected.tolist()
+    def test_rejects_more_than_16_vertices(self):
+        with pytest.raises(ValueError, match="n <= 16, got 17"):
+            percolation._reach_counts(gen_cycle(17), 0)
 
     @pytest.mark.parametrize("g, v", [
         pytest.param(gen_erdos_renyi_digraph(12, 0.2, 0), 0, id="er12-root0"),
