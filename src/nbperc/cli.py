@@ -47,7 +47,7 @@ from .graph import (
 )
 from .hashimoto import build_hashimoto
 from .percolation import STAT_NAMES, PercolationConfig, _out_probs, _reach_counts, sweep
-from .spectral import compute_spectral_report
+from .spectral import compute_spectral_report, induced_norms, spectral_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -325,7 +325,9 @@ def cmd_bounds_check(args):
     g = _load_graph(args.input, args.undirected)
     p_list = _parse_p_list(args.p)
     h = build_hashimoto(g)
-    sr = compute_spectral_report(g, h)
+    # Theorem 1 reads ||H|| and the SAC bounds rho(H): only H is solved.
+    rho_h = spectral_radius(h).rho
+    norm_row = induced_norms(h)[0]
     roots = _parse_roots(args.roots, g.n) if args.roots else tuple(range(min(3, g.n)))
     out = io.StringIO()
     out.write(
@@ -335,7 +337,7 @@ def cmd_bounds_check(args):
     theorem1 = []
     for p in p_list:
         try:
-            theorem1.append(out_component_probability_bound(p, sr.norm_row))
+            theorem1.append(out_component_probability_bound(p, norm_row))
         except BoundDomainError:
             theorem1.append(None)
     bounded = [(p, t1) for p, t1 in zip(p_list, theorem1) if t1 is not None]
@@ -348,11 +350,13 @@ def cmd_bounds_check(args):
         # their at-least-m columns, m = 1..m_max, read at every p.
         at_least = [np.cumsum(_reach_counts(g, v)[:, ::-1], axis=1)[:, ::-1]
                     [:, 1:args.m_max + 1].T.tolist() for v in tested]
-        checks = (_theorem1_exact(at_least, p, sr.norm_row) for p, _ in bounded)
+        checks = (_theorem1_exact(at_least, p, norm_row) for p, _ in bounded)
     else:
         # Each root draws once for every p with a bound; the j-th entry of
-        # per_p holds the roots' estimates at bounded[j].
-        per_p = zip(*(_out_probs(g, v, [p for p, _ in bounded], args.m_max, args.trials,
+        # per_p holds the roots' estimates at bounded[j].  No root reaches
+        # more than n vertices, so m > n adds m * P_m = 0 to the maximum.
+        m_max = min(args.m_max, g.n)
+        per_p = zip(*(_out_probs(g, v, [p for p, _ in bounded], m_max, args.trials,
                                  args.seed) for v in tested))
         checks = (_theorem1_sampled(ests, t1) for ests, (_, t1) in zip(per_p, bounded))
     for p, t1 in zip(p_list, theorem1):
@@ -366,8 +370,8 @@ def cmd_bounds_check(args):
         if census is not None:
             try:
                 e_n = expected_sac_count(census, p)
-                tr_val = sac_bound_logdet(p, h, sr.rho_H)
-                cl = sac_bound_closed(p, sr.rho_H, g.n_arcs)
+                tr_val = sac_bound_logdet(p, h, rho_h)
+                cl = sac_bound_closed(p, rho_h, g.n_arcs)
                 sac_ok = e_n <= tr_val + 1e-12 and tr_val <= cl + 1e-9
                 sac_cells = [
                     repr(_fmt(e_n)), repr(_fmt(tr_val)), repr(_fmt(cl)),

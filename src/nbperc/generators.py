@@ -14,40 +14,42 @@ from .errors import GraphStructureError
 from .graph import DiGraph
 
 
-def _sym_arcs(edges):
-    arcs = []
-    for u, v in edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return arcs
+def _sym(n, u, v):
+    """Graph on n vertices with arcs u[i] -> v[i] and v[i] -> u[i], in that
+    order, for each edge i in turn."""
+    return DiGraph.from_arrays(n, np.stack([u, v], 1).ravel(), np.stack([v, u], 1).ravel())
 
 
 def gen_cycle(n):
     """Directed n-cycle, n >= 3."""
     if n < 3:
         raise GraphStructureError(f"cycle needs n >= 3, got {n}")
-    return DiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    ids = np.arange(n)
+    return DiGraph.from_arrays(n, ids, (ids + 1) % n)
 
 
 def gen_complete_sym(n):
     """Complete graph on n vertices, both arc directions."""
     if n < 2:
         raise GraphStructureError(f"complete graph needs n >= 2, got {n}")
-    return DiGraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    tails, heads = np.divmod(np.arange(n * n), n)
+    off = tails != heads
+    return DiGraph.from_arrays(n, tails[off], heads[off])
 
 
 def gen_path_sym(n):
     """Path on n vertices, symmetrized."""
     if n < 1:
         raise GraphStructureError(f"path needs n >= 1, got {n}")
-    return DiGraph(n, _sym_arcs((i, i + 1) for i in range(n - 1)))
+    ids = np.arange(n - 1)
+    return _sym(n, ids, ids + 1)
 
 
 def gen_star_sym(k):
     """Star with center 0 and k leaves, symmetrized (2k arcs)."""
     if k < 1:
         raise GraphStructureError(f"star needs k >= 1 leaves, got {k}")
-    return DiGraph(k + 1, _sym_arcs((0, i) for i in range(1, k + 1)))
+    return _sym(k + 1, np.zeros(k, dtype=np.int64), np.arange(1, k + 1))
 
 
 def gen_random_regular_sym(n, d, seed):
@@ -76,8 +78,7 @@ def gen_random_regular_sym(n, d, seed):
         if len(np.unique(key)) != len(key):
             continue
         order = np.argsort(key, kind="stable")
-        edges = list(zip(lo[order].tolist(), hi[order].tolist()))
-        return DiGraph(n, _sym_arcs(edges))
+        return _sym(n, lo[order], hi[order])
     raise GraphStructureError(
         f"no simple pairing found in 20000 attempts (n={n}, d={d})"
     )
@@ -108,23 +109,18 @@ def gen_random_tree_sym(n, seed):
         raise GraphStructureError(f"tree needs n >= 1, got {n}")
     if n == 1:
         return DiGraph(1, [])
-    if n == 2:
-        return DiGraph(2, _sym_arcs([(0, 1)]))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
-    for v in seq:
-        degree[v] += 1
-    edges = []
+    degree = np.bincount(seq, minlength=n) + 1
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(v)))
+    # Edge i joins the i-th leaf taken to seq[i]; the last two leaves
+    # left make the final edge.
+    taken = []
+    for v in seq.tolist():
+        taken.append(heapq.heappop(leaves))
         degree[v] -= 1
         if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    edges.append((a, b))
-    return DiGraph(n, _sym_arcs(edges))
+            heapq.heappush(leaves, v)
+    taken.append(heapq.heappop(leaves))
+    return _sym(n, taken, seq.tolist() + [heapq.heappop(leaves)])

@@ -415,46 +415,18 @@ def _parse_lines(text, undirected):
     return DiGraph(max_id + 1 if declared_n is None else declared_n, list(arcs))
 
 
-# The bulk formatter's tables, as uint32 words in memory byte order:
-# "0000" to "9999" in ASCII, and _BLANK[b], which ANDed with a word clears
-# its first b bytes, for b in 0..4.
-_QUADS = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode("ascii"), np.uint32)
-_BLANK = np.frombuffer(b"".join(b"\0" * b + b"\xff" * (4 - b) for b in range(5)), np.uint32)
-# Arcs per block of the bulk formatter: its temporaries take about 150
-# bytes per arc, so a block bounds them to about 10 MB.
-_FORMAT_BLOCK = 1 << 16
+# Arcs per block of the formatter: a block makes two Python ints per arc,
+# about 120 bytes per arc with their list, tuple and text.  Blocks of
+# 2**16 arcs raised the 80 x 80 lattice analyze's peak RSS by 1.3 MB.
+_FORMAT_BLOCK = 1 << 12
 
 
 def _arc_blocks(tails, heads):
     """The ASCII bytes of "%d %d\n" % (t, h) for every arc, in arc order,
-    from two arrays of non-negative ids, yielded in blocks of
-    _FORMAT_BLOCK arcs."""
+    yielded in blocks of _FORMAT_BLOCK arcs."""
     for i in range(0, len(tails), _FORMAT_BLOCK):
-        yield _format_block(tails[i:i + _FORMAT_BLOCK], heads[i:i + _FORMAT_BLOCK])
-
-
-def _format_block(tails, heads):
-    """_arc_blocks of one block.
-
-    Each id is written as zero-padded groups of four digits, one _QUADS
-    lookup per group, then a word holding its separator and three NULs.
-    The padding zeros are cleared to NUL, and bytes.translate drops every
-    NUL at once.
-    """
-    ids = np.stack([tails, heads], 1)
-    width = len(str(int(ids.max())))
-    groups = -(-width // 4)
-    field = np.empty(ids.shape + (groups + 1,), dtype=np.uint32)
-    field[:, 0, groups] = ord(" ")
-    field[:, 1, groups] = ord("\n")
-    lead = np.full(ids.shape, 4 * groups - 1)  # padding zeros before each id's first digit
-    for k in range(1, width):
-        lead -= ids >= 10 ** k
-    rest = ids
-    for k in range(groups - 1, -1, -1):  # group k holds the digits 4k..4k+3 of the field
-        rest, low = np.divmod(rest, 10_000)
-        field[:, :, k] = _QUADS.take(low) & _BLANK.take(np.clip(lead - 4 * k, 0, 4))
-    return field.tobytes().translate(None, b"\0")
+        ids = np.stack([tails[i:i + _FORMAT_BLOCK], heads[i:i + _FORMAT_BLOCK]], 1).ravel()
+        yield (b"%d %d\n" * (len(ids) // 2)) % tuple(ids.tolist())
 
 
 def _input_digest(g):

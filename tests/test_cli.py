@@ -19,7 +19,7 @@ from nbperc.generators import (
     gen_star_sym,
 )
 from nbperc.graph import MAX_VERTICES, DiGraph, parse_edge_list
-from nbperc.hashimoto import build_hashimoto
+from nbperc.hashimoto import HashimotoOperator, build_hashimoto
 
 from conftest import brute_reach_counts, fraction_out_prob, grid_edge_text
 
@@ -351,6 +351,27 @@ class TestBoundsCheck:
         assert out == ""
         assert err == "nbperc: error: bad root list '1,x'\n"
 
+    def test_m_max_above_n_prints_the_same(self, tmp_path, monkeypatch, capsys):
+        # No root reaches more than n = 20 vertices, so m > n adds only
+        # m * P-hat_m = 0: a huge --m-max prints what --m-max 20 prints,
+        # and _out_probs is never asked for more than n rows.
+        path = str(tmp_path / "regular20.txt")
+        assert run_cli(["gen", "regular", "20", "3", "--seed", "1", "-o", path], capsys)[0] == 0
+        asked = []
+        real = cli._out_probs
+
+        def recorded(g, v, ps, m_max, *rest):
+            asked.append(m_max)
+            return real(g, v, ps, m_max, *rest)
+
+        monkeypatch.setattr(cli, "_out_probs", recorded)
+        check = ["bounds-check", path, "--p", "0.1,0.2,0.3,0.45", "--trials", "2000", "--seed", "3"]
+        huge = run_cli([*check, "--m-max", "100000000"], capsys)
+        small = run_cli([*check, "--m-max", "20"], capsys)
+        assert huge == small
+        assert huge[0] == 0 and len(huge[1].splitlines()) == 5
+        assert asked and set(asked) == {20}
+
 
 class TestExactTheorem1:
     """bounds-check on at most VERTEX_CAP vertices: max_m m * P_m and its
@@ -540,7 +561,7 @@ def _old_digest(n, tails, heads):
 
 
 class TestInputDigest:
-    """The bulk formatter hashes the bytes of the "%d %d" text."""
+    """The block formatter hashes the bytes of the "%d %d" text."""
 
     def test_ids_of_every_length(self):
         # A DiGraph of MAX_VERTICES vertices would allocate 256 MiB of
@@ -562,7 +583,7 @@ class TestInputDigest:
     def test_graphs(self, g):
         assert graph._input_digest(g) == _old_digest(g.n, g.tails, g.heads)
 
-    @pytest.mark.parametrize("block", [1, 2, 3, graph._FORMAT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 2, 3, graph._FORMAT_BLOCK, 1 << 16])
     @pytest.mark.parametrize("g", [
         pytest.param(DiGraph(0, []), id="n0"),
         pytest.param(DiGraph(5, []), id="no-arcs"),
@@ -697,6 +718,27 @@ class TestSolveCount:
         g = gen_erdos_renyi_digraph(300, 0.02, 3)
         assert 0 < 2 * g.symmetric_pair_count < g.n_arcs
         self.strong_solves(g, monkeypatch, whole=1)
+
+
+class TestBoundsCheckSolveCount:
+    """bounds-check reads rho(H) and ||H|| only: it solves H once and never
+    solves A."""
+
+    @pytest.mark.parametrize("n", [16, 20])  # exact and sampled
+    def test_one_solve_of_h(self, n, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "regular.txt")
+        assert run_cli(["gen", "regular", str(n), "3", "--seed", "4", "-o", path], capsys)[0] == 0
+        solved = []
+        real = spectral._solve
+
+        def recorded(op, *args):
+            solved.append(op)
+            return real(op, *args)
+
+        monkeypatch.setattr(spectral, "_solve", recorded)
+        code, _, _ = run_cli(["bounds-check", path, "--p", "0.1,0.3", "--trials", "200"], capsys)
+        assert code == 0
+        assert len(solved) == 1 and isinstance(solved[0], HashimotoOperator)
 
 
 class TestEntryPoint:

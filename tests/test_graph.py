@@ -23,7 +23,6 @@ from nbperc import (
 )
 from nbperc import graph
 from nbperc.errors import GraphStructureError, ParseError
-from nbperc.generators import _sym_arcs
 from nbperc.graph import _parse_bytes, _parse_lines
 
 from conftest import arc_pairs, brute_robust, brute_scc_partition
@@ -476,7 +475,7 @@ class TestSymmetricPairs:
 
 
 def _sym(n, edges):
-    return DiGraph(n, _sym_arcs(edges))
+    return DiGraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
 
 
 def _k4_edges(first):

@@ -23,7 +23,6 @@ from nbperc import (
 from nbperc import cli, graph, hashimoto
 from nbperc.cli import build_analysis_document
 from nbperc.errors import CapExceededError, DimensionMismatchError, NotStronglyConnectedError
-from nbperc.generators import _sym_arcs
 from nbperc.graph import _strong_labels
 from nbperc.spectral import _smallest_block_member
 
@@ -335,7 +334,7 @@ class TestTrace:
 
 
 def _sym(n, edges):
-    return DiGraph(n, _sym_arcs(edges))
+    return DiGraph(n, [arc for u, v in edges for arc in ((u, v), (v, u))])
 
 
 def _cycle_edges(vertices):
