@@ -63,13 +63,11 @@ CURVES = ("theorem1_out", "theorem1_in", "improved_out", "sac_closed", "sac_trac
 
 
 def _fmt(x):
-    """Serialize a float exactly (17 significant digits round-trips)."""
-    if x is None:
-        return None
+    """A float as a Python float, which json writes exactly (repr
+    round-trips), and an infinite one as "inf"; None and any other value
+    as it is."""
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return float(f"{x:.17g}")
+        return "inf" if math.isinf(x) else float(x)
     return x
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapExceededError
 from .graph import _split
 from .hashimoto import trace_power
@@ -47,8 +45,7 @@ def enumerate_elementary_circuits(g, max_len=None):
     _check_vertex_cap(g.n)
     if max_len is None:
         max_len = g.n
-    order = np.lexsort((g.heads, g.tails))
-    neighbors = _split(g.heads[order].tolist(), g.out_ptr)
+    neighbors = _split(g.out_heads.tolist(), g.out_ptr)
     circuits = []
     path = []
     on_path = [False] * g.n

@@ -27,9 +27,9 @@ class DiGraph:
     Attributes:
         n: number of vertices.
         tails / heads: read-only int64 arc endpoints; position is the arc id.
-        out_ptr / out_order: out-CSR; the arcs leaving v are
-            out_order[out_ptr[v]:out_ptr[v + 1]], in arc-id order
-            (out_order is a stable argsort of tails).
+        out_ptr / out_heads: out-CSR; the heads of the arcs leaving v are
+            out_heads[out_ptr[v]:out_ptr[v + 1]], ascending (out_heads is
+            int32 when n <= 2**31).
 
     These arrays are the whole representation; callers that walk the
     graph slice them.  ``pattern``, ``symmetric_pair_count``,
@@ -77,22 +77,16 @@ class DiGraph:
                 "duplicate": f"duplicate arc ({t},{h})",
             }[reason])
         out_ptr = _offsets(tails, n)
-        # A stable argsort of tails as one sort of distinct keys.  tails *
-        # m + arc id < n·m < 2**63: a larger n·m needs 8(n + 1) bytes of
-        # out_ptr plus 16m of arcs, at least 64 GiB when n·m >= 2**63.
-        m = len(tails)
-        out_order = np.sort(tails * m + np.arange(m)) % m
-        for arr in (tails, heads, out_ptr, out_order):
+        # The sorted keys tail·n + head are the arcs by tail, then head.
+        out_heads = np.empty(len(tails), dtype=_index_dtype(n))  # ids below n fit
+        np.remainder(keys, max(n, 1), out=out_heads, casting="unsafe")
+        for arr in (tails, heads, out_ptr, out_heads):
             arr.flags.writeable = False
         self.n = n
         self.tails = tails
         self.heads = heads
         self.out_ptr = out_ptr
-        self.out_order = out_order
-        # The sorted keys tail·n + head are the pattern's entries in row
-        # order, so their heads are its column ids.
-        self._pattern_cols = np.empty(m, dtype=_index_dtype(n))  # ids below n fit
-        np.remainder(keys, max(n, 1), out=self._pattern_cols, casting="unsafe")
+        self.out_heads = out_heads
 
     @property
     def n_arcs(self):
@@ -100,12 +94,11 @@ class DiGraph:
 
     @cached_property
     def pattern(self):
-        """Adjacency as an n x n CSR matrix of float64 ones over the out-CSR
-        and the column ids built with the graph, made on first read.  Its
-        rows are sorted by head: SciPy numbers strong components in search
-        order, and sorted rows keep the numbering of a matrix built from
-        (tail, head) pairs."""
-        return _csr_pattern(self.n, self.out_ptr, self._pattern_cols)
+        """Adjacency as an n x n CSR matrix of float64 ones over the out-CSR,
+        made on first read.  Its rows are sorted by head: SciPy numbers
+        strong components in search order, and sorted rows keep the
+        numbering of a matrix built from (tail, head) pairs."""
+        return _csr_pattern(self.n, self.out_ptr, self.out_heads)
 
     @cached_property
     def symmetric_pair_count(self):
@@ -308,6 +301,10 @@ def _parse_bytes(text, undirected, digest=False):
     del edges, starts
     if len(line) % 2 or (line[0::2] != line[1::2]).any() or (line[2::2] == line[1:-1:2]).any():
         raise ValueError("a line without exactly two vertex ids")
+    start = int(breaks[0]) + 1 if is_comment[0] and len(breaks) else 0  # after a comment line
+    # The per-word arrays that the digit loop does not read go first: held
+    # through it, they would make it the parse's peak.
+    del line, body, first, comment, breaks
     width = int(lens.max(initial=0))
     if width > _MAX_DIGITS:
         raise ValueError(f"an id longer than {_MAX_DIGITS} digits")
@@ -325,14 +322,12 @@ def _parse_bytes(text, undirected, digest=False):
         raise ValueError(f"vertex id {max_id} over the vertex budget")
     n = max_id + 1 if declared_n is None else declared_n
     input_digest = None
-    if digest and not undirected:
-        start = int(breaks[0]) + 1 if is_comment[0] and len(breaks) else 0  # after a comment line
-        if _canonical_body(data, start, ends, ids, width):
-            sha = hashlib.sha256(f"{n}\n".encode("ascii"))
-            sha.update(memoryview(raw)[start:-1])
-            input_digest = sha.hexdigest()
+    if digest and not undirected and _canonical_body(data, start, ends, ids, width):
+        sha = hashlib.sha256(f"{n}\n".encode("ascii"))
+        sha.update(memoryview(raw)[start:-1])
+        input_digest = sha.hexdigest()
     # Only the ids stay alive while the graph is built.
-    del raw, data, breaks, ends, lens, line, body, first, comment
+    del raw, data, ends, lens
     tails, heads = ids[0::2], ids[1::2]
     if undirected:
         tails, heads = np.stack([tails, heads], 1).ravel(), np.stack([heads, tails], 1).ravel()

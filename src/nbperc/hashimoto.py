@@ -33,8 +33,8 @@ class HashimotoOperator:
     pointer and int32 column ids of an n_arcs x n_arcs CSR matrix, row u
     holding the arcs that follow u in ascending arc id; ``pattern`` is
     that matrix, of float64 ones.  The rule on arrays: the candidates
-    after arc u are the arcs leaving head(u), listed per u in out-CSR
-    (arc-id) order; the one that returns to tail(u) is dropped.  More
+    after arc u are the arcs leaving head(u), listed per u in arc-id
+    order; the one that returns to tail(u) is dropped.  More
     than MAX_TRANSITIONS candidates raise CapExceededError before any
     candidate-sized array is allocated.  The pattern is the operator's
     only representation: its products sum each entry's terms in stored
@@ -47,6 +47,11 @@ class HashimotoOperator:
         # positions below MAX_TRANSITIONS < 2**31 once the budget is
         # checked: the build's arrays are int32 when n_arcs < 2**31.
         index = _index_dtype(g.n_arcs + 1)
+        # The arc ids sorted by tail, then id, as one sort of distinct keys.
+        # tails·m + arc id < n·m < 2**63: a larger n·m needs 8(n + 1) bytes
+        # of out_ptr plus 16m of arcs, at least 64 GiB when n·m >= 2**63.
+        m = g.n_arcs
+        by_tail = (np.sort(g.tails * m + np.arange(m)) % m).astype(index)
         ptr = g.out_ptr.astype(index)
         first = ptr[g.heads]
         fan = ptr[1:][g.heads] - first
@@ -56,14 +61,15 @@ class HashimotoOperator:
                 f"operator needs up to {candidates} transitions, over the budget "
                 f"MAX_TRANSITIONS = {MAX_TRANSITIONS}"
             )
-        # Candidate k of u sits at out_order[first[u] + k - (start of u's run)].
+        # Candidate k of u sits at by_tail[first[u] + k - (start of u's run)].
         # Loading a graph peaks here, so at most three candidate-sized arrays
         # are alive at once, besides the intp copy that take makes of its
         # indices, and none of them holds u.  Fancy indexing would skip
         # that copy but has no fast path for int32 indices.
         v = np.repeat(first - (np.cumsum(fan, dtype=index) - fan), fan)
         v += np.arange(len(v), dtype=index)
-        v = g.out_order.astype(index).take(v)
+        v = by_tail.take(v)
+        del by_tail
         keep = g.heads.astype(index).take(v) != np.repeat(g.tails.astype(index), fan)
         # Arc u drops a candidate iff it has a reverse arc, and drops that
         # reverse.  Reversal maps the arcs that have a reverse onto

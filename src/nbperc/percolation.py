@@ -296,12 +296,11 @@ def measure_components(g_open, giant_fraction=0.01, n_reference=None):
 
 def _kernel_arcs(g):
     """(tails, heads, symmetric): the arcs _nested_stats takes for g, in
-    g.pattern's order, by tail and then by head.  When every arc of g has
+    g's out-CSR order, by tail and then by head.  When every arc of g has
     its reverse (symmetric), they are the arcs with tail < head, one per
     pair; else all of g's arcs."""
-    pattern = g.pattern
-    tails = np.repeat(np.arange(g.n), np.diff(pattern.indptr))
-    heads = pattern.indices.astype(np.int64)
+    tails = np.repeat(np.arange(g.n), np.diff(g.out_ptr))
+    heads = g.out_heads.astype(np.int64)
     if 2 * g.symmetric_pair_count == g.n_arcs:
         half = tails < heads
         return tails[half], heads[half], True
@@ -391,7 +390,7 @@ def _out_probs(g, v, ps, m_max, trials, seed):
         raise ValueError("m_max and trials must be >= 1")
     rng = trial_rng(seed, v)
     n = g.n
-    heads, ptr = g.heads[g.out_order], g.out_ptr
+    heads, ptr = g.out_heads, g.out_ptr
     size_hist = np.zeros((len(ps), m_max + 1), dtype=np.int64)  # index: p, capped reach size
     # A search round scans the arcs of at most m_max - 1 distinct vertices
     # per trial.
@@ -434,22 +433,20 @@ def _reach_counts(g, v):
     c[k, r] p^k (1-p)^(n-k) over k and r >= m, exactly, for every p.  The
     2**(n-1) sets that hold v are uint16 words, bit u for vertex u, each
     a counter with bit v inserted.  Each round ORs into every set's reach
-    the out-masks of its reached vertices, one table lookup per byte, and
-    keeps the open bits, until no reach grows.
+    the out-masks of its reached vertices, one lookup in a closure table
+    of 2**n words, and keeps the open bits, until no reach grows.
     """
     n = g.n
     if n > 16:
         raise ValueError(f"exact reach counts need n <= 16, got {n}")
     one = np.uint16(1)
-    out_mask = np.zeros(16, dtype=np.uint16)  # bit h for each out-neighbour h
+    out_mask = np.zeros(n, dtype=np.uint16)  # bit h for each out-neighbour h
     np.bitwise_or.at(out_mask, g.tails, np.left_shift(one, g.heads.astype(np.uint16)))
-    # tables[k, b]: the OR of the out-masks of the vertices 8k + i with
-    # bit i set in b.
-    per_byte = out_mask.reshape(2, 8)
-    tables = np.zeros((2, 256), dtype=np.uint16)
-    for i in range(8):  # the entries whose highest set bit is bit i
-        tables[:, 1 << i:2 << i] = tables[:, :1 << i] | per_byte[:, i:i + 1]
-    low, high = tables
+    # table[w]: the OR of the out-masks of the vertices whose bits are set
+    # in w.
+    table = np.zeros(1 << n, dtype=np.uint16)
+    for i in range(n):  # the entries whose highest set bit is bit i
+        table[1 << i:2 << i] = table[:1 << i] | out_mask[i]
     byte, eight = np.uint16(255), np.uint16(8)
     bit = np.left_shift(one, np.uint16(v))
     below = bit - one  # the counter's bits that stay below bit v
@@ -457,7 +454,7 @@ def _reach_counts(g, v):
     words = (k & below) | ((k & ~below) << one) | bit
     reach = np.full(words.size, bit)
     while True:
-        grown = reach | low.take(reach & byte) | high.take(reach >> eight)
+        grown = reach | table.take(reach)
         grown &= words
         if np.array_equal(grown, reach):
             break
@@ -470,7 +467,8 @@ def _reach_counts(g, v):
 
 def _search_counts(ptr, heads, v, m_max, opens, stamp):
     """min(number of open vertices reachable from v, m_max), per row of
-    opens; heads holds the arcs' heads sorted by tail, as ptr indexes them.
+    opens; heads holds the arcs' heads grouped by tail, as ptr indexes
+    them, in any order within a tail: the capped count does not depend on it.
 
     One search advances all trials together, a round of array operations
     at a time.  A round scans, per reached vertex, at most as many out-arcs

@@ -171,7 +171,7 @@ def capped_dfs_out_prob(g, v, p, m_max, trials, seed):
     so this is the same stream estimate_out_prob draws in blocks.
     """
     opens = trial_rng(seed, v).random((trials, g.n)) < p
-    heads, ptr = g.heads[g.out_order], g.out_ptr
+    heads, ptr = g.heads[np.argsort(g.tails, kind="stable")], g.out_ptr
     size_hist = np.zeros(m_max + 1, dtype=np.int64)  # index: capped reach size
     for row in opens:
         if not row[v]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -206,6 +207,24 @@ class TestAnalyze:
         keys = ("n", "n_arcs", "symmetric_pair_count", "scc_count",
                 "robustly_strongly_connected", "olg_strongly_connected")
         assert json.loads(out)["graph"] == dict(zip(keys, expected))
+
+    def test_fmt_keeps_every_bit(self):
+        # 17 significant digits round-trip binary64, so the document's
+        # floats are the computed ones, bit for bit, as float(f"{x:.17g}")
+        # gave them: zeros, subnormals, the normal range's ends, and random
+        # bit patterns.
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                 2.2250738585072014e-308, 1.7976931348623157e308, -1.797e308, 0.1, 1 / 3]
+        patterns = np.random.default_rng(1).integers(0, 2**64, 20000, dtype=np.uint64)
+        drawn = patterns.view(np.float64)
+        for x in edges + drawn[np.isfinite(drawn)].tolist():
+            for given in (x, np.float64(x)):
+                out = cli._fmt(given)
+                assert type(out) is float
+                assert struct.pack("<d", out) == struct.pack("<d", x)
+                assert struct.pack("<d", out) == struct.pack("<d", float(f"{x:.17g}"))
+        assert cli._fmt(math.inf) == cli._fmt(-math.inf) == "inf"
+        assert cli._fmt(None) is None and cli._fmt(3) == 3
 
 
 class TestSimulate:

@@ -98,6 +98,23 @@ class TestBuild:
             assert rows.tolist() == u.tolist()
             assert cols.tolist() == v.tolist()
 
+    def test_rows_follow_arc_ids_whatever_the_heads(self):
+        # The build sorts g's arcs by tail, then arc id, itself: arcs listed
+        # in random order, so that a tail's arc ids and heads disagree, a
+        # hub whose out-arcs all share their tail, one vertex and none.
+        rng = np.random.default_rng(3)
+        pairs = rng.permutation(np.argwhere(~np.eye(30, dtype=bool)))[:400]
+        spokes, hub = np.arange(1, 20), np.zeros(19, dtype=np.int64)
+        star = rng.permutation(np.concatenate((np.stack([hub, spokes], 1),
+                                               np.stack([spokes, hub], 1))))
+        for g in (DiGraph(30, pairs), DiGraph(20, star), DiGraph(1, []), DiGraph(0, [])):
+            h = build_hashimoto(g)
+            ptr, cols = h.pattern.indptr, h.pattern.indices
+            rows = np.repeat(np.arange(h.n_arcs), np.diff(ptr))
+            u, v = np.nonzero(dense_hashimoto(g))  # row-major: by u, then v
+            assert rows.tolist() == u.tolist()
+            assert cols.tolist() == v.tolist()
+
     @pytest.mark.parametrize("reversed_share", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("seed", range(4))
     def test_build_counts_pairs_of_random_digraphs(self, reversed_share, seed):

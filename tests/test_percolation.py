@@ -372,6 +372,30 @@ class TestOutProb:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("g", [
+        *[pytest.param(gen_erdos_renyi_digraph(n, 2.5 / n, n), id=f"er{n}")
+          for n in (50, 120, 500)],
+        pytest.param(gen_random_regular_sym(16, 3, 4), id="regular16"),
+    ])
+    def test_counts_do_not_depend_on_scan_order(self, g):
+        # The search may scan a vertex's out-arcs in any order: the capped
+        # count min(reach, m_max) is the same whichever arcs a round takes.
+        # The graph's out-CSR lists them by head, the arc ids by id, and a
+        # seeded shuffle at random.
+        rng = np.random.default_rng(7)
+        ptr = g.out_ptr
+        tails = np.repeat(np.arange(g.n), np.diff(ptr))
+        shuffled = g.out_heads[np.lexsort((rng.random(g.n_arcs), tails))]
+        by_id = g.heads[np.argsort(g.tails, kind="stable")]
+        for v in (0, g.n - 1):
+            opens = trial_rng(3, v).random((300, g.n)) < 0.6
+            for m_max in (1, 3, 20):
+                counts = [percolation._search_counts(ptr, heads, v, m_max, opens.copy(),
+                                                     np.empty(opens.size, dtype=np.int64))
+                          for heads in (g.out_heads, by_id, shuffled)]
+                assert counts[0].tolist() == counts[1].tolist() == counts[2].tolist()
+                assert counts[0].max() >= min(m_max, 3)  # searches run past the root
+
     def test_table_memory_is_bounded(self):
         # The largest graph of the exact counts, with every vertex reaching
         # every other: sampled at 10**5 trials by the search, and counted
